@@ -492,15 +492,18 @@ class _PriceGroup:
         self.entries = 0
 
     def ensure(self, rlp_max: int, tlp_max: int, ctx_max: int) -> None:
-        """Grow the table (geometrically) to cover the given indices."""
+        """Grow the table to cover the given indices.
+
+        Only an overflowing axis grows, geometrically; the others keep
+        their size, so a long context axis never inflates the rlp and tlp
+        axes (bounded by the batch width and the speculation length).
+        """
         shape = self.table.shape
         if rlp_max < shape[1] and tlp_max < shape[2] and ctx_max < shape[3]:
             return
-        new_shape = (
-            shape[0],
-            max(2 * shape[1], rlp_max + 1),
-            max(2 * shape[2], tlp_max + 1),
-            max(2 * shape[3], ctx_max + 1),
+        new_shape = (shape[0],) + tuple(
+            size if needed < size else max(2 * size, needed + 1)
+            for size, needed in zip(shape[1:], (rlp_max, tlp_max, ctx_max))
         )
         grown = np.full(new_shape, np.nan, dtype=np.float64)
         grown[:, : shape[1], : shape[2], : shape[3]] = self.table

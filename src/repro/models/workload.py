@@ -9,6 +9,7 @@ to execute the step and price each kernel on its assigned device.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -155,6 +156,47 @@ class DecodeStep:
         return sum(inv.total.total_bytes for inv in self.invocations)
 
 
+def step_attention_cost(
+    model: ModelConfig,
+    rlp: int,
+    tlp: int,
+    mean_context_len: int,
+    context_lens: Optional[Sequence[int]] = None,
+) -> KernelCost:
+    """Per-layer attention cost of one step: the only context-dependent
+    kernel.
+
+    With ``context_lens`` it is the exact sum of per-request costs;
+    otherwise the rounded-mean approximation at ``mean_context_len``.
+    """
+    if context_lens is None:
+        return attention_cost(model, rlp, tlp, mean_context_len)
+    return attention_cost_batch(model, tlp, context_lens)
+
+
+@functools.lru_cache(maxsize=4096)
+def fc_invocations(
+    model: ModelConfig, moe: Optional[MoEModelConfig], rlp: int, tlp: int
+) -> Tuple[KernelInvocation, KernelInvocation, KernelInvocation]:
+    """The step's FC kernels — QKV, projection, FFN, in execution order.
+
+    FC cost depends on the batch shape (RLP x TLP) alone, never on the KV
+    context (the paper's kernel split, Sections 3 and 5), so one tuple of
+    frozen invocations serves every step at this operating point. The
+    memo is a bounded LRU keyed by value (the configs are frozen).
+    """
+    layers = model.num_layers
+    return (
+        KernelInvocation(KernelKind.QKV, qkv_cost(model, rlp, tlp), layers),
+        KernelInvocation(
+            KernelKind.PROJECTION, projection_cost(model, rlp, tlp), layers
+        ),
+        KernelInvocation(
+            KernelKind.FFN, step_ffn_cost(model, moe, rlp, tlp), layers
+        ),
+    )
+
+
 def build_decode_step(
     model: ModelConfig,
     rlp: int,
@@ -182,6 +224,8 @@ def build_decode_step(
     Returns:
         A :class:`DecodeStep` with QKV, attention, projection, and FFN
         invocations, each aggregated over ``model.num_layers`` layers.
+        Only the attention invocation is built per call; the three FC
+        invocations come from :func:`fc_invocations`.
     """
     if mean_context_len <= 0:
         raise ConfigurationError(
@@ -193,27 +237,21 @@ def build_decode_step(
             f"got {len(context_lens)} for rlp={rlp}"
         )
     _validate_moe(model, moe)
-    layers = model.num_layers
-    if context_lens is None:
-        attention = attention_cost(model, rlp, tlp, mean_context_len)
-    else:
-        attention = attention_cost_batch(model, tlp, context_lens)
-    invocations = (
-        KernelInvocation(KernelKind.QKV, qkv_cost(model, rlp, tlp), layers),
-        KernelInvocation(KernelKind.ATTENTION, attention, layers),
-        KernelInvocation(
-            KernelKind.PROJECTION, projection_cost(model, rlp, tlp), layers
-        ),
-        KernelInvocation(
-            KernelKind.FFN, step_ffn_cost(model, moe, rlp, tlp), layers
-        ),
+    attention = step_attention_cost(
+        model, rlp, tlp, mean_context_len, context_lens
     )
+    qkv, projection, ffn = fc_invocations(model, moe, rlp, tlp)
     return DecodeStep(
         model=model,
         rlp=rlp,
         tlp=tlp,
         mean_context_len=mean_context_len,
-        invocations=invocations,
+        invocations=(
+            qkv,
+            KernelInvocation(KernelKind.ATTENTION, attention, model.num_layers),
+            projection,
+            ffn,
+        ),
         context_lens=None if context_lens is None else tuple(context_lens),
         moe=moe,
     )

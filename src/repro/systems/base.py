@@ -7,6 +7,19 @@ scaled by the layer count, plus the communication time of shipping
 Q/K/V vectors to the attention unit and attention outputs back, plus a
 small host overhead (token gathering, sampling, scheduler bookkeeping —
 the "Other" slice of the paper's Figure 12).
+
+Scalar pricing follows the paper's kernel split (Sections 3 and 5). The
+FC half of a step — the QKV, projection and FFN kernels on the planned
+FC device, the attention I/O over the link, and the platform's
+background power — depends on the batch shape alone, so
+:meth:`ServingSystem._fc_half` prices it once per (FC placement, model,
+MoE config, rlp, tlp) and keeps it in a per-system memo; only the
+attention kernel, which depends on the KV context, is built and executed
+per step. Reassigning any system field (a device, the link) drops the
+memo. Reuse is bit-identical: each memoized value is the expression the
+per-step loop evaluated, accumulated in the same order (the pipelined
+path keeps each FC kernel's joules separately, so its running energy sum
+adds them one by one as before).
 """
 
 from __future__ import annotations
@@ -26,7 +39,12 @@ from repro.devices.base import ComputeDevice, KernelResult
 from repro.devices.interconnect import Link
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.config import ModelConfig
-from repro.models.workload import DecodeStep, build_decode_step, prefill_cost
+from repro.models.workload import (
+    DecodeStep,
+    fc_invocations,
+    prefill_cost,
+    step_attention_cost,
+)
 from repro.units import us
 
 
@@ -253,21 +271,6 @@ class ServingSystem(abc.ABC):
 
     # -- execution -----------------------------------------------------------
 
-    def _communication(self, step: DecodeStep) -> tuple:
-        """Time and energy to ship attention I/O across the link.
-
-        Per layer: Q vectors plus fresh K/V entries travel to the attention
-        unit; attention context vectors travel back. Each direction is one
-        message (latency) per layer.
-        """
-        link = self.attention_link()
-        total_bytes = attention_io_bytes(step.model, step.rlp * step.tlp)
-        seconds = link.transfer_time(
-            total_bytes, messages=2 * step.model.num_layers
-        )
-        energy = link.transfer_energy(total_bytes)
-        return seconds, energy
-
     def execute_step(self, step: DecodeStep) -> IterationResult:
         """Price one decoding iteration on this system.
 
@@ -293,30 +296,81 @@ class ServingSystem(abc.ABC):
 
         return _price_steps(self, grid)
 
-    def _execute_step_serial(self, step: DecodeStep) -> IterationResult:
-        fc_target = self.plan_fc_target(step.rlp, step.tlp)
-        fc_device = self.fc_unit_for(fc_target)
-        attn_device = self.attention_unit()
+    def __setattr__(self, name: str, value) -> None:
+        # Reassigning any field (a device, the link) can change an FC
+        # half's price or the background power: drop the memo, which
+        # refills on the next step.
+        super().__setattr__(name, value)
+        self.__dict__.pop("_fc_halves", None)
 
+    def _fc_half(
+        self,
+        fc_target: PlacementTarget,
+        model: ModelConfig,
+        moe: Optional["MoEModelConfig"],
+        rlp: int,
+        tlp: int,
+    ) -> tuple:
+        """The context-free half of a decode step's price, memoized.
+
+        Returns ``(fc_seconds, fc_energy, fc_energy_terms, comm_seconds,
+        comm_energy, background_watts)``: the three FC kernels on the
+        ``fc_target`` device (their joules also per kernel, in execution
+        order, for the pipelined path's running sum), the attention I/O
+        over the link — Q/K/V to the attention unit and context vectors
+        back, one message per direction per layer — and the platform's
+        idle power. None of it depends on the KV context, so it is priced
+        once per (placement, model, MoE config, rlp, tlp) and reused by
+        every step at that point; the memo is dropped whenever a system
+        field is reassigned. Each value is the expression the per-step
+        loop computed, accumulated in the same order, so reuse is
+        bit-identical.
+        """
+        key = (fc_target, model, moe, rlp, tlp)
+        memo = self.__dict__.get("_fc_halves")
+        if memo is None:
+            memo = self.__dict__["_fc_halves"] = {}
+        half = memo.get(key)
+        if half is not None:
+            return half
+        fc_device = self.fc_unit_for(fc_target)
         fc_seconds = 0.0
         fc_energy = 0.0
-        attn_seconds = 0.0
-        attn_energy = 0.0
-        for invocation in step.invocations:
+        fc_energy_terms = []
+        for invocation in fc_invocations(model, moe, rlp, tlp):
+            result = fc_device.execute(invocation.per_layer)
             layers = invocation.num_layers
-            if invocation.kind.is_fc:
-                result = fc_device.execute(invocation.per_layer)
-                fc_seconds += result.seconds * layers
-                fc_energy += result.energy_joules * layers
-            else:
-                result = attn_device.execute(invocation.per_layer)
-                attn_seconds += result.seconds * layers
-                attn_energy += result.energy_joules * layers
+            fc_seconds += result.seconds * layers
+            term = result.energy_joules * layers
+            fc_energy += term
+            fc_energy_terms.append(term)
+        link = self.attention_link()
+        io_bytes = attention_io_bytes(model, rlp * tlp)
+        half = memo[key] = (
+            fc_seconds,
+            fc_energy,
+            tuple(fc_energy_terms),
+            link.transfer_time(io_bytes, messages=2 * model.num_layers),
+            link.transfer_energy(io_bytes),
+            self.background_power_watts(),
+        )
+        return half
 
-        comm_seconds, comm_energy = self._communication(step)
+    def _execute_step_serial(self, step: DecodeStep) -> IterationResult:
+        rlp = step.rlp
+        tlp = step.tlp
+        fc_target = self.plan_fc_target(rlp, tlp)
+        fc_seconds, fc_energy, _, comm_seconds, comm_energy, watts = (
+            self._fc_half(fc_target, step.model, step.moe, rlp, tlp)
+        )
+        attention = step.attention_invocation
+        result = self.attention_unit().execute(attention.per_layer)
+        attn_seconds = result.seconds * attention.num_layers
+        attn_energy = result.energy_joules * attention.num_layers
+
         other_seconds = self.host_overhead_s
         total_seconds = fc_seconds + attn_seconds + comm_seconds + other_seconds
-        background_energy = self.background_power_watts() * total_seconds
+        background_energy = watts * total_seconds
         total_energy = fc_energy + attn_energy + comm_energy + background_energy
         return IterationResult(
             seconds=total_seconds,
@@ -334,8 +388,8 @@ class ServingSystem(abc.ABC):
                 "other": background_energy,
             },
             fc_target=fc_target,
-            rlp=step.rlp,
-            tlp=step.tlp,
+            rlp=rlp,
+            tlp=tlp,
         )
 
     def _execute_step_pipelined(
@@ -349,28 +403,15 @@ class ServingSystem(abc.ABC):
         since the two run on different devices. Makespan follows the
         two-stage pipeline recurrence; weights are re-streamed per chunk,
         which is the real cost that makes this a trade-off rather than a
-        free win.
+        free win. Each chunk's FC half comes from the memo at the chunk's
+        size, on the placement planned for the whole batch.
         """
         base, extra = divmod(step.rlp, chunks)
         sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
         sizes = [s for s in sizes if s > 0]
-
-        def sub_step(offset: int, size: int) -> DecodeStep:
-            if step.context_lens is not None:
-                # Per-request accounting: carry each chunk's slice of the
-                # real context lengths so exact attention pricing survives
-                # the split (attention cost is linear in context, so the
-                # chunk sum equals the whole-batch cost).
-                chunk_lens = step.context_lens[offset:offset + size]
-                mean = max(1, round(sum(chunk_lens) / size))
-                return build_decode_step(
-                    step.model, size, step.tlp, mean,
-                    context_lens=chunk_lens, moe=step.moe,
-                )
-            return build_decode_step(
-                step.model, size, step.tlp, step.mean_context_len,
-                moe=step.moe,
-            )
+        model = step.model
+        tlp = step.tlp
+        layers = model.num_layers
 
         fc_done = 0.0
         attn_done = 0.0
@@ -380,26 +421,30 @@ class ServingSystem(abc.ABC):
         fc_energy = 0.0
         attn_energy = 0.0
         comm_energy = 0.0
-        fc_target = self.plan_fc_target(step.rlp, step.tlp)
-        fc_device = self.fc_unit_for(fc_target)
+        fc_target = self.plan_fc_target(step.rlp, tlp)
         attn_device = self.attention_unit()
         offset = 0
         for size in sizes:
-            sub = sub_step(offset, size)
+            chunk_fc, _, fc_energy_terms, chunk_comm, chunk_comm_energy, watts = (
+                self._fc_half(fc_target, model, step.moe, size, tlp)
+            )
+            # Per-request accounting: each chunk prices its slice of the
+            # real context lengths, so exact attention survives the split
+            # (attention cost is linear in context, so the chunk sum equals
+            # the whole-batch cost).
+            chunk_lens = (
+                None if step.context_lens is None
+                else step.context_lens[offset:offset + size]
+            )
             offset += size
-            chunk_fc = 0.0
-            chunk_attn = 0.0
-            for invocation in sub.invocations:
-                layers = invocation.num_layers
-                if invocation.kind.is_fc:
-                    result = fc_device.execute(invocation.per_layer)
-                    chunk_fc += result.seconds * layers
-                    fc_energy += result.energy_joules * layers
-                else:
-                    result = attn_device.execute(invocation.per_layer)
-                    chunk_attn += result.seconds * layers
-                    attn_energy += result.energy_joules * layers
-            chunk_comm, chunk_comm_energy = self._communication(sub)
+            attention = step_attention_cost(
+                model, size, tlp, step.mean_context_len, chunk_lens
+            )
+            result = attn_device.execute(attention)
+            chunk_attn = result.seconds * layers
+            for term in fc_energy_terms:
+                fc_energy += term
+            attn_energy += result.energy_joules * layers
             fc_seconds += chunk_fc
             attn_seconds += chunk_attn
             comm_seconds += chunk_comm
@@ -409,7 +454,7 @@ class ServingSystem(abc.ABC):
 
         other_seconds = self.host_overhead_s
         total_seconds = attn_done + other_seconds
-        background_energy = self.background_power_watts() * total_seconds
+        background_energy = watts * total_seconds
         total_energy = fc_energy + attn_energy + comm_energy + background_energy
         overlap_saved = (
             fc_seconds + attn_seconds + comm_seconds + other_seconds
@@ -432,7 +477,7 @@ class ServingSystem(abc.ABC):
             },
             fc_target=fc_target,
             rlp=step.rlp,
-            tlp=step.tlp,
+            tlp=tlp,
         )
 
     def execute_prefill(

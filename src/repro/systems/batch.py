@@ -167,7 +167,7 @@ def _execute_batch(device, costs: KernelCostArray) -> KernelResultArray:
 def _communication_arrays(
     system: "ServingSystem", model: ModelConfig, rlp: np.ndarray, tlp: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``ServingSystem._communication`` over point axes.
+    """Vectorized link cost of ``ServingSystem._fc_half`` over point axes.
 
     Byte accounting is shared with the scalar path
     (:func:`~repro.systems.base.attention_io_bytes` is polymorphic over

@@ -13,9 +13,10 @@ memo hit rate, and live coalescing counters.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.cluster.fleetstate import FleetState
+from repro.cluster.fleetstate import FleetState, _PriceGroup
 from repro.errors import ConfigurationError
 from repro.scenario.build import build_replicas, build_requests
 from repro.scenario.run import CORE_CHOICES, apply_core_mode, run_scenario
@@ -234,3 +235,44 @@ class TestApplyCoreMode:
     def test_rejects_unknown_core(self):
         with pytest.raises(ConfigurationError, match="core must be one of"):
             apply_core_mode(_storm_scenario(), "warp")
+
+
+class TestPriceTableGrowth:
+    """Dense price tables grow only along the axis that overflows."""
+
+    @staticmethod
+    def _filled_group():
+        group = _PriceGroup(None, None)
+        group.ensure(16, 2, 5)
+        table = group.table
+        # Fill a scatter of entries, leave the rest unpriced (NaN).
+        scatter = table[0, ::3, 1, ::2]  # a view: writes land in table
+        scatter[...] = np.arange(scatter.size).reshape(scatter.shape) + 0.5
+        table[1, 16, 2, 5] = 7.25
+        return group, table.copy()
+
+    def test_context_overflow_leaves_rlp_and_tlp_axes(self):
+        group, before = self._filled_group()
+        group.ensure(3, 1, 40)
+        grown = group.table
+        assert grown.shape[:3] == before.shape[:3]
+        assert grown.shape[3] == 41
+        np.testing.assert_array_equal(grown[..., : before.shape[3]], before)
+        assert np.isnan(grown[..., before.shape[3]:]).all()
+
+    def test_each_axis_grows_geometrically_and_alone(self):
+        group, before = self._filled_group()
+        rlp, tlp, ctx = before.shape[1:]
+        group.ensure(rlp, 0, 0)
+        assert group.table.shape[1:] == (2 * rlp, tlp, ctx)
+        group.ensure(0, tlp, 0)
+        assert group.table.shape[1:] == (2 * rlp, 2 * tlp, ctx)
+        np.testing.assert_array_equal(
+            group.table[:, :rlp, :tlp, :ctx], before
+        )
+
+    def test_in_range_indices_keep_the_table(self):
+        group, _ = self._filled_group()
+        table = group.table
+        group.ensure(*(size - 1 for size in table.shape[1:]))
+        assert group.table is table

@@ -16,7 +16,12 @@ from repro.devices.pim import ATTN_PIM_CONFIG, FC_PIM_CONFIG, PIMDeviceGroup
 from repro.errors import ConfigurationError
 from repro.models.config import get_model
 from repro.models.kernels import attention_cost_array, fc_cost_array
-from repro.models.workload import StepGrid, build_step_grid, cartesian_step_grid
+from repro.models.workload import (
+    StepGrid,
+    build_decode_step,
+    build_step_grid,
+    cartesian_step_grid,
+)
 from repro.systems.papi import PAPISystem
 from repro.systems.registry import available_systems, build_system
 
@@ -27,6 +32,17 @@ MODEL = get_model("llama-65b")
 GRID = cartesian_step_grid(
     MODEL, [1, 2, 5, 7, 16, 33, 64], [1, 2, 4], [1, 100, 2048]
 )
+
+
+def prewarm(system, grid=GRID):
+    """Fill the scalar path's FC-half memo at every grid point's (rlp,
+    tlp), at a context no grid point uses, so the equality below is
+    served from a warm memo."""
+    for i in range(len(grid)):
+        system.execute_step(build_decode_step(
+            grid.model, int(grid.rlp[i]), int(grid.tlp[i]), 4999,
+            moe=grid.moe,
+        ))
 
 
 def assert_grid_equivalent(system, grid=GRID):
@@ -80,6 +96,15 @@ class TestPriceStepsEquivalence:
     def test_pipelined_systems(self, name, chunks):
         system = build_system(name)
         system.pipeline_chunks = chunks
+        assert_grid_equivalent(system)
+
+    @pytest.mark.parametrize("name", available_systems())
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_prewarmed_memo(self, name, chunks):
+        """The scalar side served from a warm FC-half memo."""
+        system = build_system(name)
+        system.pipeline_chunks = chunks
+        prewarm(system)
         assert_grid_equivalent(system)
 
     @pytest.mark.parametrize("link", [PCIE_GEN5, CXL, NVLINK],

@@ -189,6 +189,32 @@ class TestLatencyAccounting:
         assert summary.makespan_seconds == pytest.approx(summary.total_seconds)
         assert summary.utilization == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "model,system,batch,spec",
+        [
+            ("llama-65b", "papi", 4, 2),
+            ("llama-65b", "a100-attacc", 4, 2),
+            ("llama-65b", "papi", 16, 1),
+            ("gpt3-66b", "papi", 4, 4),
+            ("gpt3-175b", "a100-hbm-pim", 4, 1),
+            ("gpt3-175b", "attacc-only", 4, 4),
+            ("gpt3-175b", "papi", 4, 1),
+        ],
+    )
+    def test_makespan_covers_last_finish_exactly(self, model, system, batch, spec):
+        """Fig. 8 cells: the summed component totals can land an ulp below
+        the running clock that stamps finishes; the makespan must not."""
+        engine = ServingEngine(
+            system=build_system(system),
+            model=get_model(model),
+            speculation=SpeculationConfig(speculation_length=spec),
+            seed=11,
+            context_mode="mean",
+        )
+        summary = engine.run(sample_requests("creative-writing", batch, seed=11))
+        assert summary.makespan_seconds >= max(summary.request_latencies)
+        assert summary.makespan_seconds == pytest.approx(summary.total_seconds)
+
 
 class TestContextModes:
     def test_per_request_close_to_mean(self):
