@@ -102,9 +102,13 @@ class VectorReplica(Replica):
       attributes, and :class:`Request` objects are only written when a
       request finishes.
     * Step pricing goes through a per-replica memo keyed by
-      ``(rlp, tlp, context key)`` in front of the shared step cache —
-      placement planning is a pure function of that key (see module
-      docstring), so the memo is exact.
+      ``(target code, rlp, tlp, context key)`` in front of the shared
+      step cache. The context key is the derived mean context in mean
+      mode and :meth:`~repro.serving.engine.StepPricer.context_key` in
+      per-request mode — the context total of each sub-batch chunk the
+      step executes as, read in O(1) from ``_active_context_sum`` for an
+      unbucketed serial step. The price is a pure function of that key
+      (see the module docstring for the placement), so the memo is exact.
     * The runtime monitor is fed the *count* of finished requests
       (:meth:`~repro.systems.base.ServingSystem.observe_finished`)
       instead of a per-request output vector.
@@ -412,7 +416,18 @@ class VectorReplica(Replica):
                     memo.clear()
                 memo[key] = result
         else:
-            key = (code, rlp, tlp, tuple(self._slot_context))
+            # Per-request mode keys by the pricer's context key (the
+            # context total of each sub-batch chunk). Unbucketed serial
+            # steps read it in O(1): the active-context counter already
+            # equals the sum of the slot contexts.
+            if (
+                pricer.context_bucket == 1
+                and len(self.system.step_chunk_sizes(rlp)) == 1
+            ):
+                context_key = (self._active_context_sum,)
+            else:
+                context_key = pricer.context_key(self._slot_context)
+            key = (code, rlp, tlp, context_key)
             memo = self._price_memo
             result = memo.get(key)
             if result is None:

@@ -72,6 +72,12 @@ class StepPricer:
     and the optional step-cost cache, so the blocking engine loop and the
     event-driven cluster replicas share one pricing path.
 
+    Per-request prices are cached by :meth:`context_key` — the context
+    total of each sub-batch chunk the step executes as, ``(total,)`` for
+    a serial step — rather than by the sorted context vector: attention
+    cost depends on a chunk's contexts only through their sum, so every
+    batch with the same chunk totals prices bit-identically.
+
     Attributes:
         system: The platform pricing the steps.
         model: The model being decoded.
@@ -123,19 +129,12 @@ class StepPricer:
         rlp = len(active)
         if rlp == 0:
             raise SimulationError("cannot price a step with no active requests")
-        context_lens: Optional[Tuple[int, ...]] = None
+        # input_len + generated inline: context_len is a property and
+        # this runs once per decoding iteration over the batch.
+        contexts = [r.input_len + r.generated for r in active]
         if self.context_mode == "mean":
-            # input_len + generated inline: context_len is a property and
-            # this sum runs once per decoding iteration over the batch.
-            total = sum([r.input_len + r.generated for r in active])
-            return self.price_mean_total(rlp, tlp, total)
-        bucketize = self._bucketize
-        context_lens = tuple(
-            sorted(bucketize(r.input_len + r.generated) for r in active)
-        )
-        mean_context = max(1, round(sum(context_lens) / rlp))
-        context_key: object = context_lens
-        return self._price_resolved(rlp, tlp, mean_context, context_key, context_lens)
+            return self.price_mean_total(rlp, tlp, sum(contexts))
+        return self._price_exact(contexts, tlp)
 
     def price_contexts(
         self, context_lens_raw: Sequence[int], tlp: int
@@ -146,22 +145,69 @@ class StepPricer:
         batch's contexts as plain integers (the vectorized cluster
         replicas' slot state) instead of :class:`Request` objects.
         Bit-identical to :meth:`price` over a batch with the same
-        contexts — the same bucketing, the same sorted context key, the
-        same mean arithmetic.
+        contexts — the same bucketing, the same context key (see
+        :meth:`context_key`), the same step built on a miss.
         """
         rlp = len(context_lens_raw)
         if rlp == 0:
             raise SimulationError("cannot price a step with no active requests")
         if self.context_mode == "mean":
             return self.price_mean_total(rlp, tlp, sum(context_lens_raw))
-        bucketize = self._bucketize
-        context_lens = tuple(
-            sorted(bucketize(context) for context in context_lens_raw)
-        )
-        mean_context = max(1, round(sum(context_lens) / rlp))
-        return self._price_resolved(
-            rlp, tlp, mean_context, context_lens, context_lens
-        )
+        return self._price_exact(context_lens_raw, tlp)
+
+    def context_key(self, context_lens_raw: Sequence[int]) -> Tuple[int, ...]:
+        """The per-request step-price key of a batch with these contexts.
+
+        Attention is the only context-dependent kernel, and its cost is
+        linear in context: ``attention_cost_batch`` reads nothing of the
+        contexts but their count and their sum. A step executes as the
+        sub-batch chunks of
+        :meth:`~repro.systems.base.ServingSystem.step_chunk_sizes` — one
+        chunk for a serial step, the pipelined split of the sorted,
+        bucketized contexts otherwise — so its price is a pure function
+        of ``(placement, rlp, tlp)`` and the context total of each chunk.
+        The key is that tuple of chunk totals: ``(total,)`` for a serial
+        step, one total per chunk for a pipelined one. Batches with equal
+        keys price bit-identically; a serial key can never equal a
+        pipelined one (they differ in length).
+
+        Raises:
+            ConfigurationError: A bucketized context is not positive —
+                checked before any lookup, since a total can hide a
+                context the cost model would reject.
+            SimulationError: The batch is empty.
+        """
+        if not context_lens_raw:
+            raise SimulationError("cannot price a step with no active requests")
+        return self._exact_key(context_lens_raw)[0]
+
+    def _exact_key(
+        self, context_lens_raw: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], Sequence[int], Optional[Tuple[int, ...]]]:
+        """``(context key, bucketized contexts, sorted contexts)``.
+
+        The sorted tuple is only built when the key needs it (a pipelined
+        step); otherwise it is ``None`` and left to a cache miss.
+        """
+        contexts = context_lens_raw
+        if self.context_bucket > 1:
+            bucketize = self._bucketize
+            contexts = [bucketize(context) for context in contexts]
+        smallest = min(contexts)
+        if smallest <= 0:
+            raise ConfigurationError(
+                f"context_len must be positive, got {smallest}"
+            )
+        sizes = self.system.step_chunk_sizes(len(contexts))
+        if len(sizes) == 1:
+            return (sum(contexts),), contexts, None
+        context_lens = tuple(sorted(contexts))
+        totals = []
+        offset = 0
+        for size in sizes:
+            totals.append(sum(context_lens[offset:offset + size]))
+            offset += size
+        return tuple(totals), contexts, context_lens
 
     def price_mean_total(
         self, rlp: int, tlp: int, context_total: int
@@ -181,7 +227,7 @@ class StepPricer:
         if rlp <= 0:
             raise SimulationError("cannot price a step with no active requests")
         mean_context = self._bucketize(max(1, round(context_total / rlp)))
-        return self._price_resolved(rlp, tlp, mean_context, mean_context, None)
+        return self._price_mean(rlp, tlp, mean_context)
 
     def run_pricer(
         self, rlp: int, tlp: int
@@ -237,18 +283,45 @@ class StepPricer:
 
         return price_mean
 
-    def _price_resolved(
-        self,
-        rlp: int,
-        tlp: int,
-        mean_context: int,
-        context_key: object,
-        context_lens: Optional[Tuple[int, ...]],
+    def _price_exact(
+        self, context_lens_raw: Sequence[int], tlp: int
     ) -> IterationResult:
+        """Per-request pricing behind the context key (a non-empty batch).
+
+        A miss builds and executes exactly the step the sorted-vector key
+        used to: the sorted, bucketized contexts and their rounded mean.
+        """
+        context_key, contexts, context_lens = self._exact_key(context_lens_raw)
+        rlp = len(contexts)
+        cache = self.step_cache
+        if cache is not None:
+            key = (
+                self.workload_name, self.system.plan_fc_target(rlp, tlp),
+                rlp, tlp, context_key,
+            )
+            cached = cache.get(self.system, key)
+            if cached is not None:
+                return cached
+        if context_lens is None:
+            context_lens = tuple(sorted(contexts))
+        mean_context = max(1, round(sum(context_lens) / rlp))
+        step = build_decode_step(
+            self.model, rlp, tlp, mean_context,
+            context_lens=context_lens, moe=self.moe,
+        )
+        result = self.system.execute_step(step)
+        if cache is not None:
+            cache.put(self.system, key, result)
+        return result
+
+    def _price_mean(
+        self, rlp: int, tlp: int, mean_context: int
+    ) -> IterationResult:
+        """Mean-mode pricing at an already bucketized mean context."""
         if self.step_cache is None:
             step = build_decode_step(
-                self.model, rlp, tlp, mean_context,
-                context_lens=context_lens, moe=self.moe,
+                self.model, rlp, tlp, mean_context, context_lens=None,
+                moe=self.moe,
             )
             return self.system.execute_step(step)
 
@@ -256,13 +329,12 @@ class StepPricer:
         # be shared by engines serving different models, and an MoE
         # variant prices differently from its dense backbone.
         fc_target = self.system.plan_fc_target(rlp, tlp)
-        key = (self.workload_name, fc_target, rlp, tlp, context_key)
+        key = (self.workload_name, fc_target, rlp, tlp, mean_context)
         cached = self.step_cache.get(self.system, key)
         if cached is not None:
             return cached
         step = build_decode_step(
-            self.model, rlp, tlp, mean_context,
-            context_lens=context_lens, moe=self.moe,
+            self.model, rlp, tlp, mean_context, context_lens=None, moe=self.moe,
         )
         result = self.system.execute_step(step)
         self.step_cache.put(self.system, key, result)

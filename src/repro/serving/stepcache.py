@@ -8,7 +8,15 @@ and energy accounting. Design-space sweeps and long serving runs price
 :meth:`~repro.systems.base.ServingSystem.execute_step` removes most of
 that work.
 
-Keys are ``(model_name, fc_target, rlp, tlp, context_key)`` scoped per
+Keys are ``(model_name, fc_target, rlp, tlp, context_key)``. The
+``context_key`` is what the attention kernel reads of the contexts: in
+mean mode the bucketed mean context (an ``int``); in per-request mode
+:meth:`~repro.serving.engine.StepPricer.context_key`, the context total
+of each sub-batch chunk the step executes as — ``(total,)`` for a serial
+step, one total per chunk for a pipelined one. Attention cost is linear
+in context, so every batch with equal chunk totals prices bit-identically
+and shares one entry; the two modes' keys differ in type, and serial and
+pipelined keys in length, so none of them can alias. Keys are scoped per
 system instance: :class:`~repro.systems.base.IterationResult` is frozen,
 so a cached result can be shared safely, but prices are only valid for
 the exact system that produced them (device inventory, link, pipeline

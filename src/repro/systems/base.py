@@ -25,8 +25,9 @@ adds them one by one as before).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.placement import PlacementTarget
 
@@ -88,8 +89,15 @@ class IterationResult:
     tlp: int
 
     def __post_init__(self) -> None:
-        if self.seconds < 0 or self.energy_joules < 0:
-            raise ConfigurationError("iteration time/energy must be non-negative")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (
+            0.0 <= self.seconds < math.inf
+            and 0.0 <= self.energy_joules < math.inf
+        ):
+            raise ConfigurationError(
+                "iteration time/energy must be finite and non-negative, got "
+                f"seconds={self.seconds!r}, energy_joules={self.energy_joules!r}"
+            )
 
 
 class ServingSystem(abc.ABC):
@@ -271,14 +279,33 @@ class ServingSystem(abc.ABC):
 
     # -- execution -----------------------------------------------------------
 
+    def step_chunk_sizes(self, rlp: int) -> Tuple[int, ...]:
+        """Sub-batch sizes a decode step of ``rlp`` requests executes as.
+
+        ``(rlp,)`` for a serial step: ``pipeline_chunks <= 1``, or a batch
+        smaller than the pipeline depth. Otherwise the ``divmod`` split
+        into ``pipeline_chunks`` near-even sub-batches, larger ones first,
+        empty ones dropped. :meth:`execute_step` dispatches on this and
+        the pipelined path slices the step's contexts by it; the step
+        pricer keys per-request prices by the context total of each of
+        these chunks, so the two can never disagree on the split.
+        """
+        chunks = self.pipeline_chunks
+        if chunks <= 1 or rlp < chunks:
+            return (rlp,)
+        base, extra = divmod(rlp, chunks)
+        sizes = (base + (1 if i < extra else 0) for i in range(chunks))
+        return tuple(size for size in sizes if size > 0)
+
     def execute_step(self, step: DecodeStep) -> IterationResult:
         """Price one decoding iteration on this system.
 
-        Dispatches to the pipelined path when ``pipeline_chunks > 1`` and
-        the batch is large enough to split.
+        Dispatches to the pipelined path when :meth:`step_chunk_sizes`
+        splits the batch into more than one sub-batch.
         """
-        if self.pipeline_chunks > 1 and step.rlp >= self.pipeline_chunks:
-            return self._execute_step_pipelined(step, self.pipeline_chunks)
+        sizes = self.step_chunk_sizes(step.rlp)
+        if len(sizes) > 1:
+            return self._execute_step_pipelined(step, sizes)
         return self._execute_step_serial(step)
 
     def price_steps(self, grid: "StepGrid") -> "IterationResultArray":
@@ -393,22 +420,20 @@ class ServingSystem(abc.ABC):
         )
 
     def _execute_step_pipelined(
-        self, step: DecodeStep, chunks: int
+        self, step: DecodeStep, sizes: Tuple[int, ...]
     ) -> IterationResult:
         """SpecPIM-style sub-batch pipelining across the FC and attention
         units.
 
-        The batch is split into ``chunks`` near-even sub-batches. Chunk
-        ``i``'s attention (+ link traffic) overlaps chunk ``i+1``'s FC,
-        since the two run on different devices. Makespan follows the
-        two-stage pipeline recurrence; weights are re-streamed per chunk,
-        which is the real cost that makes this a trade-off rather than a
-        free win. Each chunk's FC half comes from the memo at the chunk's
-        size, on the placement planned for the whole batch.
+        The batch is split into the near-even sub-batches ``sizes`` (see
+        :meth:`step_chunk_sizes`). Chunk ``i``'s attention (+ link
+        traffic) overlaps chunk ``i+1``'s FC, since the two run on
+        different devices. Makespan follows the two-stage pipeline
+        recurrence; weights are re-streamed per chunk, which is the real
+        cost that makes this a trade-off rather than a free win. Each
+        chunk's FC half comes from the memo at the chunk's size, on the
+        placement planned for the whole batch.
         """
-        base, extra = divmod(step.rlp, chunks)
-        sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
-        sizes = [s for s in sizes if s > 0]
         model = step.model
         tlp = step.tlp
         layers = model.num_layers

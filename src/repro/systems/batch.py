@@ -86,6 +86,15 @@ class IterationResultArray:
     tlp: np.ndarray
     pipelined: np.ndarray
 
+    def __post_init__(self) -> None:
+        # The scalar result's check, lane by lane: NaN fails it too, so a
+        # price table that reads NaN as "not yet priced" never holds one.
+        for values in (self.seconds, self.energy_joules):
+            if not np.all((values >= 0.0) & (values < np.inf)):
+                raise ConfigurationError(
+                    "iteration time/energy must be finite and non-negative"
+                )
+
     def __len__(self) -> int:
         return int(self.seconds.shape[0])
 

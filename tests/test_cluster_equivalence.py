@@ -30,7 +30,9 @@ from repro.scenario.spec import (
     TrafficSpec,
     WorkloadSpec,
 )
+from repro.scenario import run as scenario_run
 from repro.scenario.run import run_scenario
+from repro.systems.papi import PAPISystem
 
 
 def _scenario(
@@ -153,21 +155,28 @@ def aggregate_fields(result) -> dict:
 
 
 CASES = [
-    pytest.param("min-cost", "admit", False, 2, id="min-cost-dense"),
-    pytest.param("min-cost", "admit", True, 2, id="min-cost-moe"),
-    pytest.param("intensity", "admit", False, 2, id="intensity-dense"),
-    pytest.param("intensity", "defer", False, 1, id="intensity-defer-serial"),
-    pytest.param("slo-slack", "admit", False, 2, id="slo-slack-dense"),
-    pytest.param("slo-slack", "reject", False, 2, id="slo-slack-reject"),
-    pytest.param("slo-slack", "defer", False, 4, id="slo-slack-defer-spec4"),
-    pytest.param("slo-slack", "defer", True, 2, id="slo-slack-defer-moe"),
-    pytest.param("least-outstanding", "reject", False, 2, id="least-reject"),
+    pytest.param("min-cost", "admit", False, 2, 1, id="min-cost-dense"),
+    pytest.param("min-cost", "admit", True, 2, 1, id="min-cost-moe"),
+    pytest.param("intensity", "admit", False, 2, 1, id="intensity-dense"),
+    pytest.param("intensity", "defer", False, 1, 1, id="intensity-defer-serial"),
+    pytest.param("slo-slack", "admit", False, 2, 1, id="slo-slack-dense"),
+    pytest.param("slo-slack", "reject", False, 2, 1, id="slo-slack-reject"),
+    pytest.param("slo-slack", "defer", False, 4, 1, id="slo-slack-defer-spec4"),
+    pytest.param("slo-slack", "defer", True, 2, 1, id="slo-slack-defer-moe"),
+    pytest.param("least-outstanding", "reject", False, 2, 1, id="least-reject"),
+    # Per-request contexts on a two-chunk pipelined system: step prices
+    # key by one context total per chunk.
+    pytest.param("slo-slack", "defer", False, 2, 2, id="slo-slack-pipelined"),
+    pytest.param("min-cost", "admit", True, 2, 2, id="min-cost-moe-pipelined"),
 ]
 
 
 class TestBatchedScalarEquivalence:
-    @pytest.mark.parametrize("policy,admission,moe,spec_len", CASES)
-    def test_bit_identical_outputs(self, policy, admission, moe, spec_len):
+    @pytest.mark.parametrize("policy,admission,moe,spec_len,chunks", CASES)
+    def test_bit_identical_outputs(
+        self, monkeypatch, policy, admission, moe, spec_len, chunks
+    ):
+        monkeypatch.setattr(PAPISystem, "pipeline_chunks", chunks)
         spec = _scenario(
             policy, admission=admission, moe=moe, speculation_length=spec_len
         )
@@ -176,6 +185,11 @@ class TestBatchedScalarEquivalence:
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
         assert fast == scalar
         assert vectorized == scalar
+        pipelined = any(
+            "overlap" in replica["time_breakdown"]
+            for replica in scalar["replicas"]
+        )
+        assert pipelined == (chunks > 1)
 
     def test_mean_context_mode_equivalent(self):
         spec = _scenario("slo-slack", admission="defer", context_mode="mean")
@@ -273,6 +287,28 @@ class TestBatchedScalarEquivalence:
         simulator.router.select = checking_select
         simulator.run(build_requests(spec))
         assert probed, "router probes exercised the counters"
+
+
+class TestBucketedContextEquivalence:
+    """Bucketed per-request contexts: the vectorized core's group memo
+    keys by the pricer's context key, not the O(1) active-context sum."""
+
+    @pytest.mark.parametrize("chunks", [1, 2], ids=["serial", "chunks2"])
+    def test_three_cores_agree(self, monkeypatch, chunks):
+        monkeypatch.setattr(PAPISystem, "pipeline_chunks", chunks)
+        build_replicas = scenario_run.build_replicas
+
+        def bucketed(spec):
+            replicas = build_replicas(spec)
+            for replica in replicas:
+                replica.pricer.context_bucket = 32
+            return replicas
+
+        monkeypatch.setattr(scenario_run, "build_replicas", bucketed)
+        spec = _scenario("min-cost")
+        scalar = aggregate_fields(run_scenario(_scalar(spec)))
+        assert aggregate_fields(run_scenario(_fast(spec))) == scalar
+        assert aggregate_fields(run_scenario(_vectorized(spec))) == scalar
 
 
 FUZZ_ROUTERS = (

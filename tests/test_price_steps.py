@@ -6,6 +6,8 @@ PIM pools), link technologies, and the sub-batch pipelined dispatch.
 These are the grid property tests the batch pricing layer is pinned by.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,16 @@ class TestIterationResultArray:
     def test_rejects_non_grid(self):
         with pytest.raises(ConfigurationError):
             PAPISystem().price_steps(GRID.step_at(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("field", ["seconds", "energy_joules"])
+    def test_non_finite_or_negative_lane_rejected(self, field, bad):
+        grid = build_step_grid(MODEL, [4, 8], [2, 2], [256, 256])
+        batch = PAPISystem().price_steps(grid)
+        values = getattr(batch, field).copy()
+        values[1] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            dataclasses.replace(batch, **{field: values})
 
 
 class TestStepGrid:

@@ -1,5 +1,7 @@
 """Tests for the system layer: baselines, PAPI, registry, capacity."""
 
+import math
+
 import pytest
 
 from repro.core.placement import PlacementTarget
@@ -171,3 +173,28 @@ class TestIterationExecution:
             get_model("llama-65b"), batch_size=8, input_len=512
         )
         assert result.bound is BoundKind.COMPUTE
+
+
+class TestIterationResultValidation:
+    @staticmethod
+    def result(seconds, energy_joules):
+        return IterationResult(
+            seconds=seconds,
+            energy_joules=energy_joules,
+            time_breakdown={},
+            energy_breakdown={},
+            fc_target=PlacementTarget.PU,
+            rlp=1,
+            tlp=1,
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+    @pytest.mark.parametrize("field", ["seconds", "energy_joules"])
+    def test_non_finite_or_negative_rejected(self, field, bad):
+        values = {"seconds": 1.0, "energy_joules": 1.0, field: bad}
+        with pytest.raises(ConfigurationError, match="finite"):
+            self.result(**values)
+
+    def test_zero_and_finite_accepted(self):
+        assert self.result(0.0, 0.0).seconds == 0.0
+        assert self.result(1e-3, 2.5).energy_joules == 2.5
