@@ -162,6 +162,7 @@ _PHASE_FILES = {
     "engine.py": "step_pricing",
     "stepcache.py": "step_pricing",
     "speculative.py": "step_execution",
+    "slots.py": "step_execution",
     "tlp_policy.py": "step_execution",
     "batching.py": "step_execution",
     "dataset.py": "request_build",

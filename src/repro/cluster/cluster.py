@@ -47,20 +47,6 @@ from repro.serving.clock import (
 from repro.serving.metrics import RunSummary, latency_percentile_of
 from repro.serving.request import Request, RequestPhase, RequestState
 
-#: How far ahead the vectorized core peeks into the pending arrival run
-#: (presorted static lane plus deferral lanes) when it coalesces: deep
-#: enough to batch-project a whole synchronized deferral storm in one
-#: dense matrix pass, while peeking stays O(members) per run — each
-#: member is scanned once, amortized by the run it belongs to.
-ARRIVAL_RUN_PEEK = 64
-
-#: After this many consecutive arrival runs priced no new table point,
-#: the dense price tables are considered converged and the per-run
-#: warm-up pass is skipped: probes answer from the tables directly, and
-#: a late never-seen operating point simply prices through the
-#: incremental lane refresh instead (same floats, slower lookup).
-PRICE_RUN_WARM_STREAK = 64
-
 #: How many upcoming arrivals (per calendar lane) the vectorized core
 #: gathers when it batch-prices admission verdicts for the current
 #: fleet version. Rows are a cache keyed on the version — members not
@@ -701,7 +687,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
       as vector operations across all replicas at once against dense
       price tables.
     * Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
-      instances (primitive slot-array step bookkeeping); the scenario
+      instances (plain-int decode-slot ledger); the scenario
       builder constructs them when the spec selects the vectorized core.
     """
 
@@ -747,9 +733,6 @@ class VectorizedClusterSimulator(ClusterSimulator):
         replicas = self.replicas
         router = self.router
         admission = self.admission
-        # Run prefetching only pays off when something consults the price
-        # tables (a price-aware router or an admission controller).
-        prefetch = router.price_cache is not None or admission is not None
         # Inlined step bursts below bypass the calendar, so its clock can
         # stall before the true end of the run; the makespan is tracked by
         # hand — last popped event time, or the last inlined completion.
@@ -804,8 +787,6 @@ class VectorizedClusterSimulator(ClusterSimulator):
         deferral_counts = {tenant: 0 for tenant in stats}
         rejected_counts = {tenant: 0 for tenant in stats}
         replica_count = len(replicas)
-        price_cold = prefetch
-        warm_streak = 0
         # Sessionless traces never spawn follow-up arrivals from a step
         # completion, so a foreign STEP_DONE cannot schedule an
         # interaction event inside another replica's macro run — the
@@ -820,27 +801,12 @@ class VectorizedClusterSimulator(ClusterSimulator):
             if now > makespan:
                 makespan = now
             if kind == ARRIVAL_CODE:
-                # Arrival-run coalescing: when the presorted lane shows
-                # more arrivals before the next non-arrival event, warm
-                # the run's unseen price-table points in one dense pass,
-                # then drain the whole run here — deferred re-arrivals
-                # join it too — so back-to-back verdicts answer from the
-                # fleet-version memo without an event-loop round trip
-                # per member. Once the tables converge (a long streak of
-                # runs pricing nothing new), the warm-up pass is skipped.
-                if price_cold:
-                    run_ahead = calendar.peek_arrival_run(ARRIVAL_RUN_PEEK)
-                    if run_ahead:
-                        priced = fleet.price_run(
-                            [payload]
-                            + calendar.arrival_run_payloads(run_ahead)
-                        )
-                        if priced:
-                            warm_streak = 0
-                        else:
-                            warm_streak += 1
-                            if warm_streak >= PRICE_RUN_WARM_STREAK:
-                                price_cold = False
+                # Arrival-run coalescing: drain the whole run of arrivals
+                # before the next non-arrival event here — deferred
+                # re-arrivals join it too — so back-to-back verdicts
+                # answer from the fleet-version memo without an
+                # event-loop round trip per member. Unseen price-table
+                # points are priced lazily by the probes themselves.
                 members = 0
                 while True:
                     members += 1

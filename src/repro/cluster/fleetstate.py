@@ -19,11 +19,13 @@ simulator idiom: bank state as dense tensors advanced in bulk):
   fleet-batched core uses, so every lane stays bit-identical to the
   scalar probe.
 * :class:`VectorReplica` — a :class:`~repro.cluster.replica.Replica`
-  whose per-step bookkeeping runs on primitive slot arrays (remaining
-  tokens and context per batch slot as plain ints) instead of request
-  objects, with a memo in front of step pricing. Request objects are
-  only touched when a request *finishes* (stamping final state for the
-  tenant reports), not once per iteration.
+  whose per-step bookkeeping runs on a
+  :class:`~repro.serving.slots.DecodeSlots` ledger (context and
+  remaining tokens per batch slot as plain ints; O(finished) per step
+  for steady batches) instead of request objects, with a memo in front
+  of step pricing. Request objects are only touched when a request
+  *finishes* (stamping final state for the tenant reports), not once
+  per iteration.
 
 Price-table soundness: a projected step price is keyed by
 ``(fc target, rlp, tlp, bucketed mean context)`` within a group of
@@ -47,11 +49,14 @@ from repro.cluster.replica import Replica
 from repro.cluster.router import ADMISSION_CONTEXT_BUCKET
 from repro.core.placement import PlacementTarget
 from repro.errors import ConfigurationError, SimulationError
+from repro.models.moe import expected_active_experts
 from repro.models.workload import build_step_grid
 from repro.serving.engine import MAX_ITERATIONS, ServingEngine
 from repro.serving.metrics import IterationRecord
 from repro.serving.request import Request, RequestState
+from repro.serving.slots import DecodeSlots
 from repro.serving.tlp_policy import FixedTLP
+from repro.systems.base import same_configuration
 from repro.systems.baselines import A100AttAccSystem, AttAccOnlySystem
 from repro.systems.batch import price_steps_at
 from repro.systems.papi import PAPISystem, PIMOnlyPAPISystem
@@ -90,25 +95,31 @@ def _planner_kind(system) -> int:
 
 
 class VectorReplica(Replica):
-    """Replica with primitive slot state for the vectorized core.
+    """Replica whose decode loop runs on a plain-int slot ledger.
 
     Event semantics, pricing, and every reported number are identical to
     :class:`~repro.cluster.replica.Replica` — the equivalence suite pins
     the outputs bit-for-bit. What changes is the per-iteration machinery:
 
-    * Remaining tokens and context length per batch slot live in parallel
-      ``List[int]`` mirrors (``_slot_remaining`` / ``_slot_context``), so
-      the step-done loop touches plain ints instead of request
-      attributes, and :class:`Request` objects are only written when a
-      request finishes.
+    * ``active`` is a :class:`~repro.serving.slots.DecodeSlots` ledger
+      (prefill-role replicas, which never decode, keep the reference
+      list). Steady batches — an exact ``FixedTLP`` whose slots accept a
+      constant per step without a draw — retire slots from an index of
+      their due iterations, so a step costs O(finished) and a macro-run
+      advances the ledger's credit offset in O(1); sampled batches draw
+      once per slot in slot order. :class:`Request` objects are only
+      written when a request finishes.
+    * :meth:`compress_run`'s finish-free count is the ledger's
+      ``min(due) - iteration`` rather than a scan of remaining tokens.
     * Step pricing goes through a per-replica memo keyed by
-      ``(target code, rlp, tlp, context key)`` in front of the shared
-      step cache. The context key is the derived mean context in mean
-      mode and :meth:`~repro.serving.engine.StepPricer.context_key` in
+      ``(target code, rlp, tlp, context key)``. The context key is the
+      derived mean context in mean mode and
+      :meth:`~repro.serving.engine.StepPricer.context_key` in
       per-request mode — the context total of each sub-batch chunk the
       step executes as, read in O(1) from ``_active_context_sum`` for an
       unbucketed serial step. The price is a pure function of that key
-      (see the module docstring for the placement), so the memo is exact.
+      (see the module docstring for the placement), so the memo is exact
+      and answers every repeat; the replicas consult no step-cost cache.
     * The runtime monitor is fed the *count* of finished requests
       (:meth:`~repro.systems.base.ServingSystem.observe_finished`)
       instead of a per-request output vector.
@@ -121,9 +132,6 @@ class VectorReplica(Replica):
                 "the vectorized core requires load_accounting='incremental' "
                 "(its fleet arrays mirror the incremental counters)"
             )
-        self._slot_remaining: List[int] = []
-        self._slot_context: List[int] = []
-        self._slot_total: List[int] = []
         self._price_memo: Dict[tuple, object] = {}
         self._prefill_memo: Dict[tuple, object] = {}
         self._capacity_ok: set = set()
@@ -138,11 +146,13 @@ class VectorReplica(Replica):
         self._fixed_tlp = (
             self.policy.tlp if type(self.policy) is FixedTLP else None
         )
+        if self.role != "prefill":
+            self.active = DecodeSlots.for_policy(self.speculation, self.policy)
 
     # -- event handlers ---------------------------------------------------
 
     def on_step_done(self, now: float) -> Optional[float]:
-        """Slot-array twin of :meth:`Replica.on_step_done`."""
+        """Ledger twin of :meth:`Replica.on_step_done`."""
         if self.role == "prefill":
             return self._prefill_done(now)
         if self._pending is None:
@@ -152,65 +162,26 @@ class VectorReplica(Replica):
         result, tlp = self._pending
         self._pending = None
 
-        active = self.active
-        remaining = self._slot_remaining
-        contexts = self._slot_context
-        rlp = len(active)
-        finished: List[int] = []
-        if tlp == 1:
-            # No draft model => exactly one token accepted per slot. The
-            # common shape — nothing finishing this step — runs as two
-            # C-speed list comprehensions instead of a Python slot loop.
-            accepted_total = rlp
-            if 1 not in remaining:
-                remaining = [rem - 1 for rem in remaining]
-                contexts = [ctx + 1 for ctx in contexts]
-                self._slot_remaining = remaining
-                self._slot_context = contexts
-            else:
-                for i in range(rlp):
-                    rem = remaining[i]
-                    if rem == 1:
-                        finished.append(i)
-                        remaining[i] = 0
-                    else:
-                        remaining[i] = rem - 1
-                        contexts[i] += 1
-        else:
-            sampler = self.sampler
-            accepted_total = 0
-            for i in range(rlp):
-                rem = remaining[i]
-                accepted = sampler.accepted_tokens(tlp)
-                credited = accepted if accepted < rem else rem
-                accepted_total += credited
-                if credited == rem:
-                    finished.append(i)
-                    remaining[i] = 0
-                else:
-                    remaining[i] = rem - credited
-                    contexts[i] += credited
-
-        summary = self.summary
+        slots = self.active
+        rlp = len(slots)
         iteration = self._iteration
-        finished_context = 0
+        accepted_total, finished = slots.step(tlp, self.sampler, iteration)
+        active_count = rlp - len(finished)
+        summary = self.summary
         if finished:
             self.requests_served += len(finished)
             # ``record_request_latency`` inlined: ``max(0.0, ...)``
             # already guarantees the non-negativity it validates.
             latencies = summary.request_latencies
-            for i in finished:
-                request = active[i]
-                request.generated = request.output_len
-                request.state = RequestState.FINISHED
-                request.finish_iteration = iteration
+            for request in finished:
                 request.finish_s = now
-                finished_context += request.input_len + request.output_len
                 latencies.append(max(0.0, now - request.arrival_s))
                 if request.followup is not None:
                     self.followups.append(request)
         self._remaining_tokens -= accepted_total
-        self._active_context_sum += accepted_total - finished_context
+        # The ledger's running total is exactly the reference counter's
+        # ``+= accepted - finished contexts`` update.
+        self._active_context_sum = slots.context_total
         if tlp == 1:
             # ``_accepted_fraction``'s tlp <= 1 branch, inlined.
             self._accepted_fraction = 1.0
@@ -221,8 +192,6 @@ class VectorReplica(Replica):
             self._drafted_tokens += rlp * (tlp - 1)
             self._accepted_draft_tokens += max(0, accepted_total - rlp)
         if self.moe is not None:
-            from repro.models.moe import expected_active_experts
-
             tokens = rlp * tlp
             self.expert_token_visits += tokens * self.moe.experts_per_token
             self._active_expert_sum += expected_active_experts(
@@ -236,7 +205,7 @@ class VectorReplica(Replica):
                     result=result,
                     tokens_accepted=accepted_total,
                     rlp_before=rlp,
-                    rlp_after=rlp - len(finished),
+                    rlp_after=active_count,
                 )
             )
         else:
@@ -244,19 +213,13 @@ class VectorReplica(Replica):
         self._iteration = iteration + 1
         if self._iteration >= MAX_ITERATIONS:
             raise SimulationError("decoding did not converge (runaway loop)")
-        if finished:
-            totals = self._slot_total
-            self.active = [a for a, rem in zip(active, remaining) if rem]
-            self._slot_context = [
-                ctx for ctx, rem in zip(contexts, remaining) if rem
-            ]
-            self._slot_total = [
-                t for t, rem in zip(totals, remaining) if rem
-            ]
-            self._slot_remaining = [rem for rem in remaining if rem]
 
-        duration = self._admit(now) if self.waiting else 0.0
-        if not self.active:
+        if self.waiting:
+            duration = self._admit(now)
+            active_count = len(slots)
+        else:
+            duration = 0.0
+        if not active_count:
             self.busy = False
             return None
         duration += self._schedule_step()
@@ -265,7 +228,7 @@ class VectorReplica(Replica):
     # -- internals --------------------------------------------------------
 
     def _admit(self, now: float) -> float:
-        """Memoized twin of :meth:`Replica._admit`, mirroring fresh slots.
+        """Memoized twin of :meth:`Replica._admit`, filling ledger slots.
 
         Prefill pricing is a pure function of ``(cohort size, mean input
         length)`` and the capacity check of ``(cohort size, max sequence
@@ -277,36 +240,31 @@ class VectorReplica(Replica):
 
         Role variants mirror :meth:`Replica._admit`: a prefill-role
         batch departs wholesale at first token and never forms a
-        decoding batch, so the scalar reference body (which keeps no
-        slot mirrors) is already exact for it; a decode-role batch skips
-        the prompt pass and counts queueing from the KV transfer's
-        completion.
+        decoding batch, so the reference body (on its plain list) is
+        already exact for it; a decode-role batch skips the prompt pass
+        and counts queueing from the KV transfer's completion.
         """
         if self.role == "prefill":
             return Replica._admit(self, now)
         active = self.active
         waiting = self.waiting
-        max_batch = self.max_batch_size
-        if not waiting or len(active) >= max_batch:
+        active_count = len(active)
+        open_slots = self.max_batch_size - active_count
+        if not waiting or open_slots <= 0:
             return 0.0
         fresh: List[Request] = []
-        while waiting and len(active) + len(fresh) < max_batch:
+        while waiting and len(fresh) < open_slots:
             request = waiting.popleft()
             request.state = RequestState.PREFILLING
             self._waiting_context_sum -= request.input_len + request.generated
             self._active_context_sum += request.input_len + request.generated
             fresh.append(request)
+        cohort = active_count + len(fresh)
         if self.check_capacity:
-            cohort = len(active) + len(fresh)
-            # The active slots' total lengths live in the _slot_total
-            # mirror: one C-speed max over plain ints instead of a
-            # request-attribute generator walk per admission.
             max_seq = max(r.input_len + r.output_len for r in fresh)
-            slot_total = self._slot_total
-            if slot_total:
-                active_max = max(slot_total)
-                if active_max > max_seq:
-                    max_seq = active_max
+            active_max = active.max_final_length()
+            if active_max > max_seq:
+                max_seq = active_max
             key = (cohort, max_seq)
             if key not in self._capacity_ok:
                 self.system.check_capacity(
@@ -360,25 +318,11 @@ class VectorReplica(Replica):
             summary.prefill_seconds += result.seconds
             summary.prefill_energy += result.energy_joules
             seconds = result.seconds
-        slot_remaining = self._slot_remaining
-        slot_context = self._slot_context
-        slot_total = self._slot_total
         for request in fresh:
             request.state = RequestState.DECODING
-            input_len = request.input_len
-            generated = request.generated
-            slot_remaining.append(request.output_len - generated)
-            slot_context.append(input_len + generated)
-            slot_total.append(input_len + request.output_len)
-        active.extend(fresh)
-        self.system.begin_batch(len(active), self._current_tlp)
+        active.admit(fresh)
+        self.system.begin_batch(cohort, self._current_tlp)
         return seconds
-
-    def _clear_slots(self) -> None:
-        """A prefill-role batch departs wholesale; reset the mirrors."""
-        self._slot_remaining = []
-        self._slot_context = []
-        self._slot_total = []
 
     def _schedule_step(self) -> float:
         """Memoized twin of :meth:`Replica._schedule_step`."""
@@ -420,18 +364,22 @@ class VectorReplica(Replica):
             # context total of each sub-batch chunk). Unbucketed serial
             # steps read it in O(1): the active-context counter already
             # equals the sum of the slot contexts.
+            contexts = None
             if (
                 pricer.context_bucket == 1
                 and len(self.system.step_chunk_sizes(rlp)) == 1
             ):
                 context_key = (self._active_context_sum,)
             else:
-                context_key = pricer.context_key(self._slot_context)
+                contexts = self.active.contexts()
+                context_key = pricer.context_key(contexts)
             key = (code, rlp, tlp, context_key)
             memo = self._price_memo
             result = memo.get(key)
             if result is None:
-                result = pricer.price_contexts(self._slot_context, tlp)
+                if contexts is None:
+                    contexts = self.active.contexts()
+                result = pricer.price_contexts(contexts, tlp)
                 if len(memo) >= STEP_MEMO_ENTRIES:
                     memo.clear()
                 memo[key] = result
@@ -444,20 +392,14 @@ class VectorReplica(Replica):
 
     # -- macro-stepping hooks (see Replica.compress_run) -------------------
 
-    def _macro_min_remaining(self) -> int:
-        """Fewest remaining tokens, from the slot mirror."""
-        return min(self._slot_remaining)
+    def _macro_finish_free(self, steady: int) -> int:
+        """The ledger's ``min(due) - iteration`` (a macro-eligible
+        replica's ledger is steady at exactly ``steady`` tokens)."""
+        return self.active.finish_free()
 
-    def _macro_advance_slots(self, per_slot: int) -> None:
-        """Advance the slot mirrors uniformly (no slot can finish).
-
-        ``_slot_total`` is invariant during decoding; request objects are
-        only touched at finish/compaction, which a frozen run excludes.
-        """
-        self._slot_remaining = [
-            rem - per_slot for rem in self._slot_remaining
-        ]
-        self._slot_context = [ctx + per_slot for ctx in self._slot_context]
+    def _macro_advance_slots(self, run: int, steady: int) -> None:
+        """Advance the ledger's credit offset by ``run`` steps in O(1)."""
+        self.active.advance(run)
 
     def _macro_pricer(self, rlp: int, tlp: int):
         """Layer the per-replica step memo over the run pricer.
@@ -741,8 +683,10 @@ class FleetState:
         """Group replicas by interchangeable pricing.
 
         Same criterion as the fleet-batched pricer's cache scopes —
-        configuration-equal system (type + dataclass equality) serving
-        the same workload — plus the pricer's context accounting knobs,
+        systems of the same configuration
+        (:func:`~repro.systems.base.same_configuration`: type, pipeline
+        depth, dataclass equality) serving the same workload — plus the
+        pricer's context accounting knobs,
         so group members can also share one step-price memo. A
         homogeneous fleet collapses to one group with ``indices=None``
         (the fast whole-array path).
@@ -751,13 +695,14 @@ class FleetState:
         for index, replica in enumerate(self._replicas):
             for representative, indices in members:
                 if (
-                    type(representative.system) is type(replica.system)
-                    and representative._workload_name == replica._workload_name
+                    representative._workload_name == replica._workload_name
                     and representative.pricer.context_mode
                     == replica.pricer.context_mode
                     and representative.pricer.context_bucket
                     == replica.pricer.context_bucket
-                    and representative.system == replica.system
+                    and same_configuration(
+                        representative.system, replica.system
+                    )
                 ):
                     indices.append(index)
                     break
@@ -1459,96 +1404,6 @@ class FleetState:
             return int(order[int(np.argmax(feasible[order]))])
         counts = self.outstanding_counts()
         return int(np.lexsort((counts, steps, np.negative(slack)))[0])
-
-    def price_run(self, requests: Sequence[Request]) -> int:
-        """Warm the dense price tables for a run of arrivals in one pass.
-
-        For every distinct input length in the run, project the fleet's
-        post-admission loads and collect the table points no probe has
-        priced yet; all missing points are then priced through a *single*
-        pinned-target :func:`price_steps_at` call per price group (table
-        entries are pure functions of their key, so prefetching ahead of
-        the member-by-member admission decisions is always sound — an
-        admit between members only changes *which* keys later members
-        look up, and those recompute through the incremental lane
-        refresh). Returns the number of newly priced operating points.
-        """
-        self._flush()
-        groups = self._groups
-        pending: List[Dict[Tuple[int, int, int, int], None]] = [
-            {} for _ in groups
-        ]
-        seen: set = set()
-        for request in requests:
-            input_len = request.input_len
-            if input_len in seen:
-                continue
-            seen.add(input_len)
-            rlp, ctx_index = self._projected_loads(input_len)
-            # ``_projected_loads`` leaves the open-slot counts in its
-            # scratch; when no lane projects the candidate itself
-            # (saturated fleet), every input length shares one
-            # projection — one pass covers the whole run.
-            input_sensitive = bool(
-                np.greater(
-                    self._sc_slots, self.waiting_count, out=self._sc_mask1
-                ).any()
-            )
-            tlp = self.current_tlp
-            codes = self._plan_codes(rlp, tlp)
-            for position, group in enumerate(groups):
-                idx = group.indices
-                if idx is None:
-                    g_codes, g_rlp, g_tlp, g_ctx = codes, rlp, tlp, ctx_index
-                else:
-                    g_codes = codes[idx]
-                    g_rlp = rlp[idx]
-                    g_tlp = tlp[idx]
-                    g_ctx = ctx_index[idx]
-                group.ensure(
-                    int(g_rlp.max()), int(g_tlp.max()), int(g_ctx.max())
-                )
-                values = group.table[g_codes, g_rlp, g_tlp, g_ctx]
-                missing = np.isnan(values)
-                if missing.any():
-                    want = pending[position]
-                    for lane in np.nonzero(missing)[0].tolist():
-                        want[
-                            (
-                                int(g_codes[lane]),
-                                int(g_rlp[lane]),
-                                int(g_tlp[lane]),
-                                int(g_ctx[lane]),
-                            )
-                        ] = None
-            if not input_sensitive:
-                break
-        priced_points = 0
-        for group, want in zip(groups, pending):
-            if not want:
-                continue
-            keys = list(want)
-            representative = group.representative
-            grid = build_step_grid(
-                representative.model,
-                [key[1] for key in keys],
-                [key[2] for key in keys],
-                [key[3] * ADMISSION_CONTEXT_BUCKET for key in keys],
-                moe=representative.moe,
-            )
-            priced = price_steps_at(
-                representative.system,
-                grid,
-                tuple(CODE_TARGETS[key[0]] for key in keys),
-            )
-            table = group.table
-            for lane, key in enumerate(keys):
-                table[key[0], key[1], key[2], key[3]] = float(
-                    priced.seconds[lane]
-                )
-            group.entries += len(keys)
-            priced_points += len(keys)
-        return priced_points
 
     # -- reporting ---------------------------------------------------------
 

@@ -18,10 +18,18 @@ Iteration pricing goes through the shared
 :class:`~repro.serving.engine.StepPricer`, so replicas honor the same
 context-accounting modes and step-cost cache as the blocking engine.
 
-The blocking loop in ``ServingEngine.run_with_batcher`` is deliberately
-*not* folded into this state machine: it must stay bit-identical to the
-seed implementation for paper-figure reproduction and is tuned as a hot
-loop, while this class pays per-event overhead for clock interleaving.
+This class is the plain reference: it advances every active
+:class:`Request` with ``Request.advance`` each iteration. The two fast
+decode loops — the blocking loop in ``ServingEngine.run_with_batcher``
+and the vectorized core's
+:class:`~repro.cluster.fleetstate.VectorReplica` — run on one
+plain-int slot ledger instead
+(:class:`~repro.serving.slots.DecodeSlots`), and the equivalence suite
+and the engine goldens hold them to this reference bit for bit. The
+blocking loop is deliberately *not* folded into this state machine: it
+must stay bit-identical for paper-figure reproduction and is tuned as a
+hot loop, while this class pays per-event overhead for clock
+interleaving.
 ``tests/test_cluster.py::TestRunTrace::test_matches_static_run_when_all_arrive_at_once``
 pins the two paths to identical results on their common ground — change
 either loop's semantics and that test is the tripwire.
@@ -510,8 +518,7 @@ class Replica:
             return None
         # K's four limiting terms: first slot completion, the iteration
         # cap, the hard per-step bound, and (below) the horizon.
-        min_remaining = self._macro_min_remaining()
-        finish_free = (min_remaining - 1) // steady
+        finish_free = self._macro_finish_free(steady)
         if finish_free < MACRO_MIN_RUN:
             counters["fallback_finish_due"] = (
                 counters.get("fallback_finish_due", 0) + 1
@@ -682,7 +689,7 @@ class Replica:
         # Commit: replicate every side effect of `run` on_step_done +
         # _schedule_step rounds. No request finishes, so the slot state
         # advances uniformly and the monitor sees finish-free batches.
-        self._macro_advance_slots(steady * run)
+        self._macro_advance_slots(run, steady)
         self._remaining_tokens -= per_iteration * run
         self._active_context_sum += per_iteration * run
         self._accepted_fraction = 1.0
@@ -778,24 +785,27 @@ class Replica:
             return "speculation_draws"
         return None
 
-    def _macro_min_remaining(self) -> int:
-        """Fewest output tokens any active request still owes."""
-        return min(r.output_len - r.generated for r in self.active)
+    def _macro_finish_free(self, steady: int) -> int:
+        """Iterations that can complete before any active request
+        finishes, each slot accepting ``steady`` tokens per iteration."""
+        min_remaining = min(r.output_len - r.generated for r in self.active)
+        return (min_remaining - 1) // steady
 
-    def _macro_advance_slots(self, per_slot: int) -> None:
-        """Advance every active slot by ``per_slot`` accepted tokens.
+    def _macro_advance_slots(self, run: int, steady: int) -> None:
+        """Advance every active slot by ``run`` steady iterations.
 
-        Only called with ``per_slot`` strictly below every slot's
-        remaining budget, so no request can finish and request state
-        stays ``DECODING`` throughout — the closed form of ``run``
-        consecutive ``Request.advance`` credits.
+        Only called with ``run`` at most the finish-free count, so no
+        request can finish and request state stays ``DECODING``
+        throughout — the closed form of ``run`` consecutive
+        ``Request.advance`` credits.
         """
+        per_slot = steady * run
         for request in self.active:
             request.generated += per_slot
 
     def _macro_pricer(self, rlp: int, tlp: int):
         """Mean-mode pricing callable for one frozen run (see
-        :meth:`StepPricer.run_pricer`); slot-mirroring subclasses layer
+        :meth:`StepPricer.run_pricer`); the vectorized replicas layer
         their per-replica memo on top."""
         return self.pricer.run_pricer(rlp, tlp)
 
@@ -842,16 +852,11 @@ class Replica:
         if self._iteration >= MAX_ITERATIONS:
             raise SimulationError("prefill backlog did not converge")
         self.active = []
-        self._clear_slots()
         duration = self._admit(now)
         if not self.active:
             self.busy = False
             return None
         return now + duration
-
-    def _clear_slots(self) -> None:
-        """Hook for slot-mirroring subclasses: a prefill-role batch
-        departs wholesale, so any per-slot state resets with it."""
 
     def finalize(self, makespan_s: float) -> RunSummary:
         """Close out the run summary once the cluster trace has drained."""

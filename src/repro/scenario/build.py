@@ -76,20 +76,21 @@ def _build_speculation(workload: WorkloadSpec) -> SpeculationConfig:
 def build_replicas(spec: ScenarioSpec) -> List[Replica]:
     """The fleet, replica ids assigned in group order.
 
-    The shared step-cost cache scopes entries by system *configuration*
-    (``share_equal_systems``): a homogeneous fleet prices each distinct
-    decoding step once for all replicas instead of once per replica.
-    Cached results are pure functions of the configuration and the step
-    key (which pins the FC placement), so outputs are unchanged.
+    On the scalar and event cores the shared step-cost cache scopes
+    entries by system *configuration* (``share_equal_systems``): a
+    homogeneous fleet prices each distinct decoding step once for all
+    replicas instead of once per replica. Cached results are pure
+    functions of the configuration and the step key (which pins the FC
+    placement), so outputs are unchanged. Vectorized replicas take no
+    cache: their price-group memo already answers every repeated step.
     """
+    vectorized = spec.fleet.core_mode == "vectorized"
     cache = (
         StepCostCache(share_equal_systems=True)
-        if spec.fleet.step_cache
+        if spec.fleet.step_cache and not vectorized
         else None
     )
-    replica_cls = (
-        VectorReplica if spec.fleet.core_mode == "vectorized" else Replica
-    )
+    replica_cls = VectorReplica if vectorized else Replica
     prefix_spec = spec.fleet.prefix_cache
     replicas: List[Replica] = []
     for group in spec.fleet.replicas:

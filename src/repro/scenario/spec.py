@@ -365,7 +365,9 @@ class FleetSpec(SpecBase):
     Attributes:
         replicas: Replica groups; ids are assigned in group order, so the
             first group holds replicas ``0..count-1`` and so on.
-        step_cache: Share one step-cost cache across the fleet.
+        step_cache: Share one step-cost cache across the fleet. Applies
+            to the scalar and event cores; the vectorized core's replicas
+            price through their price-group memo and take no cache.
         detail: Per-replica metric retention: ``full`` keeps one record
             per decoding iteration (RLP traces, per-iteration debugging);
             ``aggregate`` streams iterations into running totals so

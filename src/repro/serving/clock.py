@@ -207,7 +207,6 @@ class EventCalendar:
             raise ConfigurationError(
                 "arrival times must be sorted non-decreasing"
             )
-        self._arrival_times = times
         # tolist() up front: the hot pop path then reads native floats
         # instead of materializing one np.float64 per arrival.
         self._arrival_list: List[float] = times.tolist()
@@ -440,35 +439,6 @@ class EventCalendar:
         if heap:
             return heap[0][2] == ARRIVAL_CODE
         return False
-
-    def peek_arrival_run(self, limit: int) -> int:
-        """Length of the static arrival lane's pending run (capped).
-
-        Counts the consecutive presorted arrivals from the cursor that
-        would all pop before the dynamic heap's head — static arrivals
-        win exact-timestamp ties, so the boundary is ``time <= head`` —
-        up to ``limit`` (bounding the scan so a huge all-arrival stretch
-        never costs O(trace) per peek). Deferral-lane re-arrivals are
-        *not* counted: they are arrivals too, so they never end a run —
-        use :meth:`upcoming_arrivals` to see them.
-        """
-        cursor = self._cursor
-        times = self._arrival_times
-        n = times.shape[0]
-        if cursor >= n:
-            return 0
-        hi = min(n, cursor + limit)
-        heap = self._heap
-        if not heap:
-            return hi - cursor
-        return int(
-            np.searchsorted(times[cursor:hi], heap[0][0], side="right")
-        )
-
-    def arrival_run_payloads(self, count: int) -> List[Any]:
-        """The next ``count`` static-lane payloads, without consuming them."""
-        cursor = self._cursor
-        return self._payloads[cursor : cursor + count]
 
     def upcoming_arrivals(self, limit: int) -> List[Any]:
         """Payloads of arrivals expected to pop soon, without consuming.

@@ -10,10 +10,13 @@ compute-bound unit, then iterates decoding steps. Every iteration it
 2. builds the :class:`~repro.models.workload.DecodeStep` for the current
    (RLP, TLP) and the active requests' contexts,
 3. asks the system to price it (the system consults its scheduler),
-4. samples per-request accepted tokens (speculative decoding),
-5. gathers the output-token vector — ``EOS_TOKEN`` for requests that just
-   finished — and feeds it to the system's runtime monitor, exactly the
-   token-level monitoring loop of Section 5.2.2.
+4. credits accepted tokens to the batch's decode slots
+   (:class:`~repro.serving.slots.DecodeSlots`, plain ints in admission
+   order): sampled per slot under speculative decoding, a constant per
+   slot when no draw is needed, in which case a step costs O(finished),
+5. reports how many requests emitted ``<eos>`` to the system's runtime
+   monitor (:meth:`~repro.systems.base.ServingSystem.observe_finished`),
+   the count the token-level monitoring loop of Section 5.2.2 consumes.
 
 Two pricing refinements sit behind engine knobs:
 
@@ -36,9 +39,8 @@ which runs the single-replica case of the cluster event loop in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-from repro.core.scheduler import EOS_TOKEN
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.config import ModelConfig
 from repro.models.moe import MoEModelConfig
@@ -50,6 +52,7 @@ from repro.models.workload import (
 from repro.serving.batching import ContinuousBatcher, StaticBatcher
 from repro.serving.metrics import DETAIL_MODES, IterationRecord, RunSummary
 from repro.serving.request import Request, RequestState
+from repro.serving.slots import DecodeSlots
 from repro.serving.speculative import SpeculationConfig, SpeculativeSampler
 from repro.serving.stepcache import StepCostCache
 from repro.serving.tlp_policy import FixedTLP, TLPPolicy, TLPTrace
@@ -450,7 +453,16 @@ class ServingEngine:
         return replica.summary
 
     def run_with_batcher(self, batcher: Batcher) -> RunSummary:
-        """Serve a workload under an arbitrary batching policy."""
+        """Serve a workload under an arbitrary batching policy.
+
+        The loop runs on a :class:`~repro.serving.slots.DecodeSlots`
+        ledger rather than on :class:`Request` objects: mean mode prices
+        from the ledger's running context total, per-request mode from
+        its slot contexts, and requests are only written when they
+        finish (in slot order, each latency read from the clock).
+        Outputs are bit-identical to advancing every request each step
+        (``tests/test_engine_goldens.py`` pins them).
+        """
         sampler = SpeculativeSampler(self.speculation, seed=self.seed)
         summary = RunSummary(
             system=self.system.name, model=self.workload_name, detail=self.detail
@@ -479,87 +491,86 @@ class ServingEngine:
         current_tlp = self.speculation.tlp
         self.system.begin_batch(len(active), current_tlp)
 
+        # The batch's decode slots as plain ints (see DecodeSlots): an
+        # exact FixedTLP whose slots accept a constant per step retires
+        # in O(finished) per iteration; otherwise each slot draws.
+        slots = DecodeSlots.for_policy(self.speculation, policy)
+        slots.admit(active)
+
         # Hot loop: bind the per-iteration callees once. The loop runs
         # hundreds of thousands of times in design-space sweeps, where
         # attribute lookups are a measurable slice of wall-clock.
-        price = pricer.price
+        mean_mode = pricer.context_mode == "mean"
+        price_mean_total = pricer.price_mean_total
+        price_contexts = pricer.price_contexts
         next_tlp = policy.next_tlp
         trace_tlp = self.tlp_trace.record
-        accepted_tokens = sampler.accepted_tokens
-        record_latency = summary.record_request_latency
+        step_slots = slots.step
+        latencies = summary.request_latencies
         draft_overhead = self.speculation.draft_overhead_s
-        observe_outputs = self.system.observe_outputs
+        observe_finished = self.system.observe_finished
         add_iteration = summary.add_iteration
-        finished_state = RequestState.FINISHED
 
         iteration = 0
         accepted_fraction = 1.0
         while True:
             if iteration >= MAX_ITERATIONS:
                 raise SimulationError("decoding did not converge (runaway loop)")
-            if not active:
+            if not slots:
                 fresh = batcher.admit()
                 if not fresh:
                     break
                 clock += self._charge_prefill(summary, fresh)
                 self.system.begin_batch(len(fresh), current_tlp)
-                active = fresh
+                slots.admit(fresh)
                 continue
 
-            rlp = len(active)
+            rlp = len(slots)
             tlp = next_tlp(iteration, rlp, accepted_fraction)
             if tlp != current_tlp:
                 self.system.update_tlp(tlp)
                 current_tlp = tlp
             trace_tlp(tlp)
 
-            result = price(active, tlp)
+            if mean_mode:
+                result = price_mean_total(rlp, tlp, slots.context_total)
+            else:
+                result = price_contexts(slots.contexts(), tlp)
             draft_seconds = draft_overhead(tlp)
             summary.draft_seconds += draft_seconds
             clock += draft_seconds + result.seconds
 
-            accepted_total = 0
-            outputs: List[int] = []
-            still_active: List[Request] = []
             # Latency is the run-relative wall clock at finish time:
             # queueing (iterations spent waiting for a slot), prefill, and
             # decoding. The blocking loop starts its clock at admission of
             # the first batch — arrival stamps are the event-driven
             # run_trace path's job (dynamic batches launched via
             # form_dynamic_batches carry their own start_s offset).
-            serial = tlp == 1  # no draft model => exactly one token, no RNG
-            for request in active:
-                accepted = 1 if serial else accepted_tokens(tlp)
-                credited = request.advance(accepted, iteration)
-                accepted_total += credited
-                if request.state is finished_state:
-                    outputs.append(EOS_TOKEN)
-                    record_latency(clock)
-                else:
-                    outputs.append(0)
-                    still_active.append(request)
+            accepted_total, finished = step_slots(tlp, sampler, iteration)
+            # ``record_request_latency`` inlined: the clock only grows,
+            # so the non-negativity it validates always holds.
+            latencies.extend([clock] * len(finished))
             accepted_fraction = self._accepted_fraction(
                 accepted_total, rlp, tlp
             )
 
-            observe_outputs(outputs)
+            observe_finished(len(finished), rlp)
             add_iteration(
                 IterationRecord(
                     iteration=iteration,
                     result=result,
                     tokens_accepted=accepted_total,
                     rlp_before=rlp,
-                    rlp_after=len(still_active),
+                    rlp_after=len(slots),
                 )
             )
             iteration += 1
-            active = still_active
 
             fresh = batcher.admit()
             if fresh:
                 clock += self._charge_prefill(summary, fresh)
-                active = active + fresh
-                self.system.begin_batch(len(active), current_tlp)
+                slots.admit(fresh)
+                self.system.begin_batch(len(slots), current_tlp)
 
         summary.reschedules = self._reschedule_count()
         # The component totals and the running clock add the same terms

@@ -39,11 +39,21 @@ from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.systems.base import IterationResult, ServingSystem
+from repro.systems.base import (
+    IterationResult,
+    ServingSystem,
+    same_configuration,
+)
 
 #: A fully resolved step-price key:
 #: (model_name, fc_target, rlp, tlp, context_key).
 StepKey = Tuple[str, Hashable, int, int, Hashable]
+
+
+def _pipeline_depth(scope_owner) -> int:
+    """A system's sub-batch pipelining depth. The cache mechanics also
+    front plain weak-referenceable scope objects, which have none."""
+    return getattr(scope_owner, "pipeline_chunks", 1)
 
 
 class SystemScopedCache:
@@ -57,16 +67,19 @@ class SystemScopedCache:
     systems because the outer map is keyed by system identity.
 
     With ``share_equal_systems=True`` the scope is the system's
-    *configuration* rather than its identity: systems that compare equal
-    (dataclass ``__eq__`` over devices, links, and thresholds) share one
-    entry map. A fleet of 32 identical replicas then prices each distinct
-    operating point once for the whole fleet instead of once per replica —
-    safe because every cached value is a pure function of the system
-    configuration and the key (the planned FC placement is part of the
-    key, so divergent scheduler state between replicas can never alias).
-    Sharing snapshots equality when a system first touches the cache;
-    callers that mutate a system's configuration afterwards (e.g.
-    ``calibrate``) must use a fresh cache.
+    *configuration* rather than its identity: systems with the same
+    configuration (:func:`~repro.systems.base.same_configuration` — type,
+    pipeline depth, and dataclass ``__eq__`` over devices, links, and
+    thresholds) share one entry map. A fleet of 32 identical replicas
+    then prices each distinct operating point once for the whole fleet
+    instead of once per replica — safe because every cached value is a
+    pure function of the system configuration and the key (the planned
+    FC placement is part of the key, so divergent scheduler state
+    between replicas can never alias).
+    Sharing snapshots equality when a system first touches the cache at
+    a given pipeline depth (reassigning ``pipeline_chunks`` resolves the
+    scope afresh); callers that mutate any other part of a system's
+    configuration afterwards (e.g. ``calibrate``) must use a fresh cache.
 
     Attributes:
         max_entries: Per-scope entry cap; least-recently-used entries are
@@ -88,17 +101,24 @@ class SystemScopedCache:
         # __eq__ without __hash__, so they cannot key a WeakKeyDictionary
         # directly. A finalizer purges a system's entries when it is
         # collected, which both bounds memory and prevents a recycled id
-        # from ever reading another system's values.
-        self._per_system: Dict[int, OrderedDict] = {}
-        # Identity -> scope resolution for shared scopes. Scope ids come
-        # from a monotone counter — never from id() — so a recycled
-        # address can never alias a dead system's scope. _scope_by_id is
-        # invalidated per system by a finalizer; _scope_reps holds one
-        # weakly referenced representative system per scope for the
+        # from ever reading another system's values. Identity scopes are
+        # split by pipeline depth too (``(id, depth)``), so a system
+        # whose ``pipeline_chunks`` is reassigned never reads the prices
+        # it cached at another depth.
+        self._per_system: Dict[Hashable, OrderedDict] = {}
+        # (identity, pipeline depth) -> scope resolution for shared
+        # scopes: the depth is part of the key because it is a plain
+        # attribute a caller may reassign, and a pipelined system must
+        # never keep its serial scope. Scope ids come from a monotone
+        # counter — never from id() — so a recycled address can never
+        # alias a dead system's scope. _scope_by_id is invalidated per
+        # system by a finalizer; _scope_reps holds one weakly referenced
+        # representative system per scope, with the depth it had when
+        # it founded the scope (it may be reassigned since), for the
         # equality probes of systems seen later; _scope_refs counts a
         # scope's live systems so its entries are purged when the last
         # one is collected.
-        self._scope_by_id: Dict[int, int] = {}
+        self._scope_by_id: Dict[Tuple[int, int], int] = {}
         self._scope_reps: list = []
         self._scope_refs: Dict[int, int] = {}
         self._next_scope = -1
@@ -107,24 +127,30 @@ class SystemScopedCache:
         """The scope ``system``'s entries live under.
 
         Identity (``id``) normally; with ``share_equal_systems``, a
-        counter-allocated scope shared by every system that compares
-        equal to its first-seen representative. Fleet-batched pricing
-        also uses this to group replicas whose prices are
-        interchangeable.
+        counter-allocated scope shared by every system with the same
+        configuration (:func:`~repro.systems.base.same_configuration`)
+        as its first-seen representative. Fleet-batched pricing also
+        uses this to group replicas whose prices are interchangeable.
         """
         if not self.share_equal_systems:
             return id(system)
-        system_id = id(system)
-        scope = self._scope_by_id.get(system_id)
+        memo_key = (id(system), _pipeline_depth(system))
+        scope = self._scope_by_id.get(memo_key)
         if scope is not None:
             return scope
+        depth = memo_key[1]
         live = []
-        for ref, rep_scope in self._scope_reps:
+        for entry in self._scope_reps:
+            ref, rep_scope, rep_depth = entry
             rep = ref()
             if rep is None:
                 continue  # prune dead representatives as a side effect
-            live.append((ref, rep_scope))
-            if scope is None and type(rep) is type(system) and rep == system:
+            live.append(entry)
+            if (
+                scope is None
+                and rep_depth == depth
+                and same_configuration(rep, system)
+            ):
                 scope = rep_scope
         self._scope_reps = live
         if scope is None:
@@ -132,16 +158,16 @@ class SystemScopedCache:
             # an id()-keyed entry if a cache is somehow used both ways).
             scope = self._next_scope
             self._next_scope -= 1
-            self._scope_reps.append((weakref.ref(system), scope))
-        self._scope_by_id[system_id] = scope
+            self._scope_reps.append((weakref.ref(system), scope, depth))
+        self._scope_by_id[memo_key] = scope
         self._scope_refs[scope] = self._scope_refs.get(scope, 0) + 1
-        weakref.finalize(system, self._release_scope, system_id, scope)
+        weakref.finalize(system, self._release_scope, memo_key, scope)
         return scope
 
-    def _release_scope(self, system_id: int, scope: int) -> None:
+    def _release_scope(self, memo_key: Tuple[int, int], scope: int) -> None:
         """Finalizer: drop a dead system's identity memo; purge the whole
         scope (entries and representative) when no live system holds it."""
-        self._scope_by_id.pop(system_id, None)
+        self._scope_by_id.pop(memo_key, None)
         remaining = self._scope_refs.get(scope, 0) - 1
         if remaining > 0:
             self._scope_refs[scope] = remaining
@@ -149,13 +175,13 @@ class SystemScopedCache:
             self._scope_refs.pop(scope, None)
             self._per_system.pop(scope, None)
             self._scope_reps = [
-                (ref, rep_scope)
-                for ref, rep_scope in self._scope_reps
-                if rep_scope != scope
+                entry for entry in self._scope_reps if entry[1] != scope
             ]
 
     def _entries(self, system: ServingSystem, create: bool) -> Optional[OrderedDict]:
         scope = self.scope_key(system)
+        if not self.share_equal_systems:
+            scope = (scope, _pipeline_depth(system))
         entries = self._per_system.get(scope)
         if entries is None and create:
             entries = OrderedDict()

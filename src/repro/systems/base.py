@@ -100,6 +100,22 @@ class IterationResult:
             )
 
 
+def same_configuration(a: "ServingSystem", b: "ServingSystem") -> bool:
+    """Whether two systems price every step identically.
+
+    Same type, same :attr:`ServingSystem.pipeline_chunks` — a plain
+    attribute, so dataclass ``==`` does not compare it — and dataclass
+    equality over devices, links and thresholds. Shared step-cost cache
+    scopes and the vectorized core's price groups both decide
+    interchangeability through this one test.
+    """
+    return (
+        type(a) is type(b)
+        and a.pipeline_chunks == b.pipeline_chunks
+        and a == b
+    )
+
+
 class ServingSystem(abc.ABC):
     """A complete computing platform that executes LLM decoding.
 

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenario.spec import (
     FleetSpec,
+    InterconnectSpec,
     MoESpec,
     ReplicaSpec,
     RoutingSpec,
@@ -43,6 +44,8 @@ def _scenario(
     context_mode: str = "per-request",
     requests: int = 48,
     replicas: int = 3,
+    acceptance_rate: float = 0.8,
+    disaggregated: bool = False,
 ) -> ScenarioSpec:
     tenants = [
         TenantSpec(
@@ -62,16 +65,29 @@ def _scenario(
     ]
     workload = WorkloadSpec(
         speculation_length=speculation_length,
+        acceptance_rate=acceptance_rate,
         context_mode=context_mode,
         moe=MoESpec(num_experts=8, experts_per_token=2) if moe else None,
     )
+    if disaggregated:
+        # Decode replicas admit transferred requests mid-life: their
+        # slots start with tokens already generated.
+        fleet = FleetSpec(
+            replicas=(
+                ReplicaSpec(count=1, max_batch_size=8, role="prefill"),
+                ReplicaSpec(count=replicas, max_batch_size=8, role="decode"),
+            ),
+            interconnect=InterconnectSpec(),
+        )
+    else:
+        fleet = FleetSpec(
+            replicas=(ReplicaSpec(count=replicas, max_batch_size=8),)
+        )
     return ScenarioSpec(
         name="equivalence",
         seed=11,
         workload=workload,
-        fleet=FleetSpec(
-            replicas=(ReplicaSpec(count=replicas, max_batch_size=8),)
-        ),
+        fleet=fleet,
         tenants=tuple(tenants),
         routing=RoutingSpec(policy=policy),
     )
@@ -154,31 +170,56 @@ def aggregate_fields(result) -> dict:
     }
 
 
+def _case(policy, admission, moe, spec_len, chunks, id, **workload):
+    """One matrix row; ``workload`` overrides further ``_scenario``
+    inputs (acceptance rate, context mode, disaggregated pools)."""
+    return pytest.param(
+        policy, admission, moe, spec_len, chunks, workload, id=id
+    )
+
+
 CASES = [
-    pytest.param("min-cost", "admit", False, 2, 1, id="min-cost-dense"),
-    pytest.param("min-cost", "admit", True, 2, 1, id="min-cost-moe"),
-    pytest.param("intensity", "admit", False, 2, 1, id="intensity-dense"),
-    pytest.param("intensity", "defer", False, 1, 1, id="intensity-defer-serial"),
-    pytest.param("slo-slack", "admit", False, 2, 1, id="slo-slack-dense"),
-    pytest.param("slo-slack", "reject", False, 2, 1, id="slo-slack-reject"),
-    pytest.param("slo-slack", "defer", False, 4, 1, id="slo-slack-defer-spec4"),
-    pytest.param("slo-slack", "defer", True, 2, 1, id="slo-slack-defer-moe"),
-    pytest.param("least-outstanding", "reject", False, 2, 1, id="least-reject"),
+    _case("min-cost", "admit", False, 2, 1, "min-cost-dense"),
+    _case("min-cost", "admit", True, 2, 1, "min-cost-moe"),
+    _case("intensity", "admit", False, 2, 1, "intensity-dense"),
+    _case("intensity", "defer", False, 1, 1, "intensity-defer-serial"),
+    _case("slo-slack", "admit", False, 2, 1, "slo-slack-dense"),
+    _case("slo-slack", "reject", False, 2, 1, "slo-slack-reject"),
+    _case("slo-slack", "defer", False, 4, 1, "slo-slack-defer-spec4"),
+    _case("slo-slack", "defer", True, 2, 1, "slo-slack-defer-moe"),
+    _case("least-outstanding", "reject", False, 2, 1, "least-reject"),
     # Per-request contexts on a two-chunk pipelined system: step prices
     # key by one context total per chunk.
-    pytest.param("slo-slack", "defer", False, 2, 2, id="slo-slack-pipelined"),
-    pytest.param("min-cost", "admit", True, 2, 2, id="min-cost-moe-pipelined"),
+    _case("slo-slack", "defer", False, 2, 2, "slo-slack-pipelined"),
+    _case("min-cost", "admit", True, 2, 2, "min-cost-moe-pipelined"),
+    # Steady decode-slot ledgers: every slot accepts a constant per
+    # step with no draw (s=3 at acceptance 1.0, in both context modes).
+    _case("slo-slack", "defer", False, 3, 1, "slo-slack-steady-spec3",
+          acceptance_rate=1.0),
+    _case("min-cost", "admit", False, 3, 1, "min-cost-steady-spec3-mean",
+          acceptance_rate=1.0, context_mode="mean"),
+    # Steady serial slots priced from their per-request contexts: the
+    # pipelined key reads every slot's context through the ledger.
+    _case("min-cost", "reject", False, 1, 2, "min-cost-serial-pipelined"),
+    # Disaggregated decode pools: slots admitted mid-life, both modes.
+    _case("least-outstanding", "admit", False, 2, 1, "disagg-sampled",
+          disaggregated=True),
+    _case("min-cost", "admit", False, 1, 1, "disagg-steady-mean",
+          context_mode="mean", disaggregated=True),
 ]
 
 
 class TestBatchedScalarEquivalence:
-    @pytest.mark.parametrize("policy,admission,moe,spec_len,chunks", CASES)
+    @pytest.mark.parametrize(
+        "policy,admission,moe,spec_len,chunks,workload", CASES
+    )
     def test_bit_identical_outputs(
-        self, monkeypatch, policy, admission, moe, spec_len, chunks
+        self, monkeypatch, policy, admission, moe, spec_len, chunks, workload
     ):
         monkeypatch.setattr(PAPISystem, "pipeline_chunks", chunks)
         spec = _scenario(
-            policy, admission=admission, moe=moe, speculation_length=spec_len
+            policy, admission=admission, moe=moe, speculation_length=spec_len,
+            **workload,
         )
         fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))

@@ -276,3 +276,92 @@ class TestPriceTableGrowth:
         table = group.table
         group.ensure(*(size - 1 for size in table.shape[1:]))
         assert group.table is table
+
+
+class TestPipelineDepthGroups:
+    """Systems that differ only in ``pipeline_chunks`` must not share a
+    price group: no shared step memo, no dense table priced on the other
+    system."""
+
+    @staticmethod
+    def _run(vectorized: bool) -> dict:
+        from repro.cluster.cluster import (
+            ClusterSimulator,
+            VectorizedClusterSimulator,
+        )
+        from repro.cluster.fleetstate import VectorReplica
+        from repro.cluster.replica import Replica
+        from repro.cluster.router import build_router
+        from repro.models.config import get_model
+        from repro.serving.arrivals import poisson_arrivals
+        from repro.serving.dataset import sample_requests
+        from repro.systems.registry import build_system
+
+        replicas = []
+        for replica_id, chunks in enumerate((1, 2)):
+            system = build_system("papi")
+            system.pipeline_chunks = chunks
+            cls = VectorReplica if vectorized else Replica
+            replicas.append(
+                cls(
+                    replica_id=replica_id,
+                    system=system,
+                    model=get_model("llama-65b"),
+                    max_batch_size=8,
+                    context_mode="mean",
+                    detail="aggregate",
+                )
+            )
+        simulator_cls = (
+            VectorizedClusterSimulator if vectorized else ClusterSimulator
+        )
+        requests = poisson_arrivals(
+            sample_requests("general-qa", 48, seed=3), rate_per_s=40.0, seed=3
+        )
+        summary = simulator_cls(replicas, build_router("min-cost")).run(
+            requests
+        )
+        return {
+            "makespan": repr(summary.makespan_seconds),
+            "replicas": [
+                (
+                    report.requests_served,
+                    report.iterations,
+                    repr(report.summary.decode_seconds),
+                    repr(report.summary.decode_energy),
+                    [repr(v) for v in report.summary.request_latencies],
+                )
+                for report in summary.replicas
+            ],
+        }
+
+    def test_groups_split_by_pipeline_depth(self):
+        from repro.cluster.fleetstate import VectorReplica
+        from repro.models.config import get_model
+        from repro.systems.registry import build_system
+
+        replicas = []
+        for replica_id, chunks in enumerate((1, 2, 1)):
+            system = build_system("papi")
+            system.pipeline_chunks = chunks
+            replicas.append(
+                VectorReplica(
+                    replica_id=replica_id,
+                    system=system,
+                    model=get_model("llama-65b"),
+                    max_batch_size=8,
+                )
+            )
+        fleet = FleetState(replicas)
+        groups = sorted(group.indices.tolist() for group in fleet._groups)
+        assert groups == [[0, 2], [1]]
+        assert replicas[0]._price_memo is replicas[2]._price_memo
+        assert replicas[0]._price_memo is not replicas[1]._price_memo
+
+    def test_vectorized_fleet_matches_unshared_reference(self):
+        vectorized = self._run(vectorized=True)
+        reference = self._run(vectorized=False)
+        assert vectorized == reference
+        # Both replicas served traffic, so the pipelined one's prices
+        # were actually exercised.
+        assert all(row[0] > 0 for row in reference["replicas"])

@@ -235,3 +235,92 @@ class TestStepPricer:
         ).price(requests, tlp=2)
         assert mean.seconds == pytest.approx(exact.seconds)
         assert mean.energy_joules == pytest.approx(exact.energy_joules)
+
+
+class TestSharedScopePipelineDepth:
+    """``pipeline_chunks`` is a plain attribute that dataclass ``==``
+    does not see; a shared scope must still tell serial and pipelined
+    systems apart."""
+
+    @staticmethod
+    def _mean_pricer(system, cache=None):
+        return StepPricer(
+            system=system,
+            model=get_model("llama-65b"),
+            context_mode="mean",
+            step_cache=cache,
+        )
+
+    @staticmethod
+    def _pipelined_truth():
+        system = build_system("papi")
+        system.pipeline_chunks = 2
+        return TestSharedScopePipelineDepth._mean_pricer(
+            system
+        ).price_mean_total(16, 2, 16_000)
+
+    def test_pipelined_system_never_reads_a_serial_price(self):
+        cache = StepCostCache(share_equal_systems=True)
+        serial, pipelined = build_system("papi"), build_system("papi")
+        pipelined.pipeline_chunks = 2
+        serial_price = self._mean_pricer(serial, cache).price_mean_total(
+            16, 2, 16_000
+        )
+        price = self._mean_pricer(pipelined, cache).price_mean_total(
+            16, 2, 16_000
+        )
+        truth = self._pipelined_truth()
+        assert cache.scope_key(serial) != cache.scope_key(pipelined)
+        assert price.seconds == truth.seconds
+        assert price.energy_joules == truth.energy_joules
+        assert price.seconds == pytest.approx(0.0340, abs=5e-5)
+        assert serial_price.seconds == pytest.approx(0.02004, abs=5e-5)
+
+    def test_reassigned_depth_resolves_a_fresh_scope(self):
+        cache = StepCostCache(share_equal_systems=True)
+        serial, switched = build_system("papi"), build_system("papi")
+        serial_price = self._mean_pricer(serial, cache).price_mean_total(
+            16, 2, 16_000
+        )
+        pricer = self._mean_pricer(switched, cache)
+        assert pricer.price_mean_total(16, 2, 16_000) is serial_price
+        switched.pipeline_chunks = 2
+        price = pricer.price_mean_total(16, 2, 16_000)
+        assert price.seconds == self._pipelined_truth().seconds
+        assert cache.scope_key(switched) != cache.scope_key(serial)
+        # And back: the serial scope (and its entry) is still there.
+        switched.pipeline_chunks = 1
+        assert cache.scope_key(switched) == cache.scope_key(serial)
+        assert pricer.price_mean_total(16, 2, 16_000) is serial_price
+
+    def test_reassigned_representative_never_lends_its_old_scope(self):
+        """The system that founded a serial scope is later pipelined:
+        neither it nor a fresh pipelined system may read that scope."""
+        cache = StepCostCache(share_equal_systems=True)
+        founder = build_system("papi")
+        serial_price = self._mean_pricer(founder, cache).price_mean_total(
+            16, 2, 16_000
+        )
+        founder.pipeline_chunks = 2
+        truth = self._pipelined_truth().seconds
+        assert self._mean_pricer(founder, cache).price_mean_total(
+            16, 2, 16_000
+        ).seconds == truth
+        newcomer = build_system("papi")
+        newcomer.pipeline_chunks = 2
+        assert self._mean_pricer(newcomer, cache).price_mean_total(
+            16, 2, 16_000
+        ).seconds == truth
+        assert serial_price.seconds != truth
+
+    def test_identity_scope_splits_by_depth(self):
+        cache = StepCostCache()
+        system = build_system("papi")
+        pricer = self._mean_pricer(system, cache)
+        serial_price = pricer.price_mean_total(16, 2, 16_000)
+        system.pipeline_chunks = 2
+        assert pricer.price_mean_total(16, 2, 16_000).seconds == (
+            self._pipelined_truth().seconds
+        )
+        system.pipeline_chunks = 1
+        assert pricer.price_mean_total(16, 2, 16_000) is serial_price
