@@ -21,8 +21,8 @@ simulator idiom: bank state as dense tensors advanced in bulk):
 * :class:`VectorReplica` — a :class:`~repro.cluster.replica.Replica`
   whose per-step bookkeeping runs on a
   :class:`~repro.serving.slots.DecodeSlots` ledger (context and
-  remaining tokens per batch slot as plain ints; O(finished) per step
-  for steady batches) instead of request objects, with a memo in front
+  remaining tokens per batch slot as plain ints; a constant credit per
+  step for steady batches) instead of request objects, with a memo in front
   of step pricing. Request objects are only touched when a request
   *finishes* (stamping final state for the tenant reports), not once
   per iteration.
@@ -104,13 +104,14 @@ class VectorReplica(Replica):
     * ``active`` is a :class:`~repro.serving.slots.DecodeSlots` ledger
       (prefill-role replicas, which never decode, keep the reference
       list). Steady batches — an exact ``FixedTLP`` whose slots accept a
-      constant per step without a draw — retire slots from an index of
-      their due iterations, so a step costs O(finished) and a macro-run
-      advances the ledger's credit offset in O(1); sampled batches draw
-      once per slot in slot order. :class:`Request` objects are only
-      written when a request finishes.
-    * :meth:`compress_run`'s finish-free count is the ledger's
-      ``min(due) - iteration`` rather than a scan of remaining tokens.
+      constant per step without a draw — credit that constant with two
+      list comprehensions while no slot retires and delete only the
+      retired slots when some do; sampled batches draw once per slot in
+      slot order. :class:`Request` objects are only written when a
+      request finishes.
+    * :meth:`compress_run`'s finish-free count and macro-run credit come
+      from the ledger (:meth:`~repro.serving.slots.DecodeSlots.finish_free`,
+      :meth:`~repro.serving.slots.DecodeSlots.advance`).
     * Step pricing goes through a per-replica memo keyed by
       ``(target code, rlp, tlp, context key)``. The context key is the
       derived mean context in mean mode and
@@ -393,12 +394,13 @@ class VectorReplica(Replica):
     # -- macro-stepping hooks (see Replica.compress_run) -------------------
 
     def _macro_finish_free(self, steady: int) -> int:
-        """The ledger's ``min(due) - iteration`` (a macro-eligible
-        replica's ledger is steady at exactly ``steady`` tokens)."""
+        """The ledger's ``(min remaining - 1) // steady`` (a
+        macro-eligible replica's ledger is steady at exactly ``steady``
+        tokens)."""
         return self.active.finish_free()
 
     def _macro_advance_slots(self, run: int, steady: int) -> None:
-        """Advance the ledger's credit offset by ``run`` steps in O(1)."""
+        """Credit ``run`` finish-free steps to the ledger in one pass."""
         self.active.advance(run)
 
     def _macro_pricer(self, rlp: int, tlp: int):

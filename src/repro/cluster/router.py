@@ -212,14 +212,14 @@ def projected_step_seconds_fleet(
     # Miss groups: scope id -> (representative replica, [replica index]).
     groups: Dict[object, Tuple[Replica, List[int]]] = {}
     # This loop runs replicas x arrivals times; the cache is consulted
-    # through its scope map directly (hit/miss tallies folded in below)
+    # through each system's entry map (hit/miss tallies folded in below)
     # rather than per-probe get() calls, and keys carry the placement's
     # *value* string (cached hash) instead of the enum member. Hits skip
     # the LRU recency bump — eviction order is a cache-quality knob,
     # never a result.
     if cache is not None:
         scope_of = cache.scope_key
-        entries_of = cache._per_system.get
+        entries_of = cache.scope_entries
     hits = 0
     misses = 0
     for index, replica in enumerate(replicas):
@@ -236,14 +236,14 @@ def projected_step_seconds_fleet(
             mean_context,
         )
         if cache is not None:
-            scope = scope_of(system)
-            entries = entries_of(scope)
+            entries = entries_of(system, False)
             cached = entries.get(key) if entries is not None else None
             if cached is not None:
                 hits += 1
                 seconds[index] = cached
                 continue
             misses += 1
+            scope = scope_of(system)
         else:
             scope = id(system)
         keys[index] = key

@@ -13,7 +13,8 @@ compute-bound unit, then iterates decoding steps. Every iteration it
 4. credits accepted tokens to the batch's decode slots
    (:class:`~repro.serving.slots.DecodeSlots`, plain ints in admission
    order): sampled per slot under speculative decoding, a constant per
-   slot when no draw is needed, in which case a step costs O(finished),
+   slot when no draw is needed, in which case a step that retires no
+   slot is two list comprehensions,
 5. reports how many requests emitted ``<eos>`` to the system's runtime
    monitor (:meth:`~repro.systems.base.ServingSystem.observe_finished`),
    the count the token-level monitoring loop of Section 5.2.2 consumes.
@@ -492,8 +493,8 @@ class ServingEngine:
         self.system.begin_batch(len(active), current_tlp)
 
         # The batch's decode slots as plain ints (see DecodeSlots): an
-        # exact FixedTLP whose slots accept a constant per step retires
-        # in O(finished) per iteration; otherwise each slot draws.
+        # exact FixedTLP whose slots accept a constant per step credits
+        # it without a draw; otherwise each slot draws.
         slots = DecodeSlots.for_policy(self.speculation, policy)
         slots.admit(active)
 

@@ -3,7 +3,7 @@
 A decoding batch needs, per slot, exactly three numbers: the KV context
 the next step attends over, the output tokens still owed, and the final
 sequence length (for KV-capacity checks). A :class:`DecodeSlots` ledger
-holds them as plain ints in admission order, next to the
+holds them as parallel int lists in admission order, next to the
 :class:`Request` each slot serves, so the decode loops of
 ``ServingEngine.run_with_batcher`` and the vectorized cluster replicas
 never walk request objects per step. A request object is only written
@@ -13,19 +13,16 @@ The ledger's mode follows from the speculation config alone
 (:meth:`DecodeSlots.for_policy`, via
 :meth:`~repro.serving.speculative.SpeculationConfig.steady_slot_tokens`):
 
-* :class:`SteadySlots` — an exact ``FixedTLP`` where every slot accepts
-  the same ``k`` tokens per step without an RNG draw (``s == 1``, or
-  acceptance ``>= 1``). Slots are stored against a shared credit offset
-  (context ``base + credit``, remaining output ``end - credit``), so a
-  step adds ``k`` to the offset instead of touching every slot. A slot
-  that joins at step ``J`` owing ``r`` tokens retires at step ``J + (r -
-  1) // k`` — known at admission — so slots are indexed by their
-  retirement step and a step costs O(finished). The steps that can run
-  before the next retirement number ``min(due) - step`` (the
-  macro-steppers' finish-free run).
-* :class:`SampledSlots` — each slot draws its accepted tokens from the
-  sampler, once per slot in slot order (the draw-stream order every
-  core shares), over parallel int lists.
+* **steady** — an exact ``FixedTLP`` where every slot accepts the same
+  ``k`` tokens per step without an RNG draw (``s == 1``, or acceptance
+  ``>= 1``). While every slot owes more than ``k`` tokens a step is two
+  C-speed list comprehensions; the steps that can run before the next
+  retirement number ``(min(remaining) - 1) // k`` (the macro-steppers'
+  finish-free run), and :meth:`DecodeSlots.advance` credits such a run
+  in one pass.
+* **sampled** — each slot draws its accepted tokens from the sampler,
+  once per slot in slot order (the draw-stream order every core
+  shares).
 
 Both are the closed form of calling ``Request.advance`` on every active
 request each step, in slot order: the same credited tokens (clipped at
@@ -35,8 +32,7 @@ the same sampler position.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.serving.request import Request, RequestState
@@ -50,11 +46,26 @@ class DecodeSlots:
     Iterating yields the slots' requests in slot order; ``len`` is the
     batch's RLP. ``context_total`` is the exact sum of the slots'
     current contexts.
+
+    Args:
+        steady: The tokens every slot accepts per step when no draw is
+            needed (positive), or ``None`` for a sampled batch.
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "steady", "context_total", "_requests", "_remaining", "_contexts",
+        "_finals",
+    )
 
-    context_total: int
+    def __init__(self, steady: Optional[int] = None) -> None:
+        if steady is not None and steady <= 0:
+            raise SimulationError("steady slot tokens must be positive")
+        self.steady = steady
+        self.context_total = 0
+        self._requests: List[Request] = []
+        self._remaining: List[int] = []
+        self._contexts: List[int] = []
+        self._finals: List[int] = []
 
     @staticmethod
     def for_policy(
@@ -64,191 +75,10 @@ class DecodeSlots:
         allow: steady when the policy is exactly :class:`FixedTLP` (a
         subclass could vary its answer) and every slot accepts a
         constant without a draw, sampled otherwise."""
+        steady = None
         if type(policy) is FixedTLP:
             steady = speculation.steady_slot_tokens(policy.tlp)
-            if steady is not None:
-                return SteadySlots(steady)
-        return SampledSlots()
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Request]:
-        raise NotImplementedError
-
-    def admit(self, requests: Iterable[Request]) -> None:
-        """Append slots for ``requests`` (mid-life ones included).
-
-        A request's slot starts from its current state: context
-        ``input_len + generated`` and ``output_len - generated`` tokens
-        owed, so a decode pool can admit a transferred request.
-        """
-        raise NotImplementedError
-
-    def contexts(self) -> List[int]:
-        """Every slot's current context, in slot order."""
-        raise NotImplementedError
-
-    def max_final_length(self) -> int:
-        """Largest ``input_len + output_len`` among the slots (0 if none)."""
-        raise NotImplementedError
-
-    def step(
-        self, tlp: int, sampler: SpeculativeSampler, iteration: int
-    ) -> Tuple[int, List[Request]]:
-        """Credit one decoding step to every slot; retire finished ones.
-
-        Returns ``(accepted tokens, retired requests in slot order)``.
-        Retired requests are stamped as ``Request.advance`` would leave
-        them (all tokens generated, ``FINISHED``, ``finish_iteration``)
-        and leave the batch.
-        """
-        raise NotImplementedError
-
-    @staticmethod
-    def _stamp(retired: List[Request], iteration: int) -> None:
-        finished = RequestState.FINISHED
-        for request in retired:
-            request.generated = request.output_len
-            request.state = finished
-            request.finish_iteration = iteration
-
-
-class SteadySlots(DecodeSlots):
-    """Slots that each accept ``steady`` tokens per step, no draw.
-
-    Args:
-        steady: The per-slot tokens of every step (positive).
-    """
-
-    __slots__ = (
-        "steady", "context_total", "_slots", "_next_id", "_step",
-        "_credit", "_due", "_due_steps",
-    )
-
-    def __init__(self, steady: int) -> None:
-        if steady <= 0:
-            raise SimulationError("steady slot tokens must be positive")
-        self.steady = steady
-        self.context_total = 0
-        # Slot id -> (request, base, end, final length); ids grow with
-        # admission and dicts keep insertion order, so iteration order
-        # is slot order.
-        self._slots: Dict[int, Tuple[Request, int, int, int]] = {}
-        self._next_id = 0
-        self._step = 0
-        self._credit = 0
-        # Retirement step -> slot ids (ascending), plus a heap of the
-        # distinct retirement steps.
-        self._due: Dict[int, List[int]] = {}
-        self._due_steps: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self) -> Iterator[Request]:
-        return (entry[0] for entry in self._slots.values())
-
-    def admit(self, requests: Iterable[Request]) -> None:
-        slots = self._slots
-        credit = self._credit
-        steady = self.steady
-        for request in requests:
-            generated = request.generated
-            context = request.input_len + generated
-            remaining = request.output_len - generated
-            slot_id = self._next_id
-            self._next_id = slot_id + 1
-            slots[slot_id] = (
-                request,
-                context - credit,
-                remaining + credit,
-                request.input_len + request.output_len,
-            )
-            self.context_total += context
-            # A slot owing nothing still retires on its first step,
-            # credited zero tokens (``Request.advance``'s clip).
-            due = self._step + max(0, remaining - 1) // steady
-            waiting = self._due.get(due)
-            if waiting is None:
-                self._due[due] = [slot_id]
-                heapq.heappush(self._due_steps, due)
-            else:
-                waiting.append(slot_id)
-
-    def contexts(self) -> List[int]:
-        credit = self._credit
-        return [entry[1] + credit for entry in self._slots.values()]
-
-    def max_final_length(self) -> int:
-        return max((entry[3] for entry in self._slots.values()), default=0)
-
-    def finish_free(self) -> int:
-        """Steps that can complete before any slot retires.
-
-        Equals ``(min remaining - 1) // k`` over the slots: a slot due
-        at step ``d`` still owes ``(d - step) * k + c`` tokens with
-        ``1 <= c <= k``.
-        """
-        if not self._due_steps:
-            raise SimulationError("finish_free of an empty batch")
-        return self._due_steps[0] - self._step
-
-    def advance(self, steps: int) -> None:
-        """Run ``steps`` finish-free steps in O(1).
-
-        The closed form of ``steps`` calls to :meth:`step` when none of
-        them retires a slot (``steps <= finish_free()``).
-        """
-        if steps > self.finish_free():
-            raise SimulationError("advance would skip a slot's retirement")
-        credited = self.steady * steps
-        self._step += steps
-        self._credit += credited
-        self.context_total += credited * len(self._slots)
-
-    def step(
-        self, tlp: int, sampler: SpeculativeSampler, iteration: int
-    ) -> Tuple[int, List[Request]]:
-        """See :meth:`DecodeSlots.step`; ``tlp`` and ``sampler`` are
-        unused (the owner guarantees the fixed speculation length)."""
-        steady = self.steady
-        step = self._step
-        slots = self._slots
-        accepted = steady * len(slots)
-        retired: List[Request] = []
-        due_steps = self._due_steps
-        if due_steps and due_steps[0] == step:
-            heapq.heappop(due_steps)
-            credit = self._credit
-            released = 0
-            for slot_id in self._due.pop(step):
-                request, _, end, final = slots.pop(slot_id)
-                # The retiring slot is credited only what it still owed.
-                accepted -= steady - (end - credit)
-                released += final
-                retired.append(request)
-            self.context_total -= released
-            self._stamp(retired, iteration)
-        self._step = step + 1
-        self._credit += steady
-        self.context_total += accepted
-        return accepted, retired
-
-
-class SampledSlots(DecodeSlots):
-    """Slots whose accepted tokens are drawn per slot, per step."""
-
-    __slots__ = (
-        "context_total", "_requests", "_remaining", "_contexts", "_finals",
-    )
-
-    def __init__(self) -> None:
-        self.context_total = 0
-        self._requests: List[Request] = []
-        self._remaining: List[int] = []
-        self._contexts: List[int] = []
-        self._finals: List[int] = []
+        return DecodeSlots(steady)
 
     def __len__(self) -> int:
         return len(self._requests)
@@ -257,6 +87,12 @@ class SampledSlots(DecodeSlots):
         return iter(self._requests)
 
     def admit(self, requests: Iterable[Request]) -> None:
+        """Append slots for ``requests`` (mid-life ones included).
+
+        A request's slot starts from its current state: context
+        ``input_len + generated`` and ``output_len - generated`` tokens
+        owed, so a decode pool can admit a transferred request.
+        """
         for request in requests:
             generated = request.generated
             context = request.input_len + generated
@@ -267,36 +103,69 @@ class SampledSlots(DecodeSlots):
             self.context_total += context
 
     def contexts(self) -> List[int]:
+        """Every slot's current context, in slot order."""
         return list(self._contexts)
 
     def max_final_length(self) -> int:
+        """Largest ``input_len + output_len`` among the slots (0 if none)."""
         return max(self._finals, default=0)
+
+    def finish_free(self) -> int:
+        """Steady steps that can complete before any slot retires:
+        ``(min remaining - 1) // k``."""
+        if not self._remaining:
+            raise SimulationError("finish_free of an empty batch")
+        return (min(self._remaining) - 1) // self.steady
+
+    def advance(self, steps: int) -> None:
+        """Credit ``steps`` finish-free steady steps in one pass.
+
+        The closed form of ``steps`` calls to :meth:`step` when none of
+        them retires a slot (``steps <= finish_free()``).
+        """
+        if steps > self.finish_free():
+            raise SimulationError("advance would skip a slot's retirement")
+        credited = self.steady * steps
+        self._remaining = [rem - credited for rem in self._remaining]
+        self._contexts = [ctx + credited for ctx in self._contexts]
+        self.context_total += credited * len(self._requests)
 
     def step(
         self, tlp: int, sampler: SpeculativeSampler, iteration: int
     ) -> Tuple[int, List[Request]]:
+        """Credit one decoding step to every slot; retire finished ones.
+
+        Returns ``(accepted tokens, retired requests in slot order)``.
+        Retired requests are stamped as ``Request.advance`` would leave
+        them (all tokens generated, ``FINISHED``, ``finish_iteration``)
+        and leave the batch. A steady ledger ignores ``tlp`` and
+        ``sampler`` (the owner guarantees the fixed speculation length).
+        """
         remaining = self._remaining
+        fixed = self.steady
+        if fixed is not None and min(remaining) > fixed:
+            # Nothing retires: every slot is credited exactly ``k``.
+            accepted_total = fixed * len(remaining)
+            self._remaining = [rem - fixed for rem in remaining]
+            self._contexts = [ctx + fixed for ctx in self._contexts]
+            self.context_total += accepted_total
+            return accepted_total, []
+        if fixed is None and tlp == 1:
+            fixed = 1  # no draft model: one token per slot, no draw
+        draw = sampler.accepted_tokens if fixed is None else None
         contexts = self._contexts
         done: List[int] = []
-        if tlp == 1 and min(remaining) > 1:
-            # No draft model and nothing due: one token per slot, no
-            # draw, as two C-speed list comprehensions.
-            accepted_total = len(remaining)
-            self._remaining = [rem - 1 for rem in remaining]
-            self._contexts = [ctx + 1 for ctx in contexts]
-        else:
-            # ``tlp == 1`` draws nothing: exactly one token per slot.
-            draw = None if tlp == 1 else sampler.accepted_tokens
-            accepted_total = 0
-            for index, rem in enumerate(remaining):
-                accepted = 1 if draw is None else draw(tlp)
-                if accepted < rem:
-                    remaining[index] = rem - accepted
-                    contexts[index] += accepted
-                    accepted_total += accepted
-                else:
-                    accepted_total += rem
-                    done.append(index)
+        accepted_total = 0
+        for index, rem in enumerate(remaining):
+            accepted = fixed if draw is None else draw(tlp)
+            if accepted < rem:
+                remaining[index] = rem - accepted
+                contexts[index] += accepted
+                accepted_total += accepted
+            else:
+                # The retiring slot is credited only what it still owed.
+                accepted_total += rem
+                done.append(index)
         if not done:
             self.context_total += accepted_total
             return accepted_total, []
@@ -309,5 +178,9 @@ class SampledSlots(DecodeSlots):
             del requests[index], remaining[index], contexts[index]
             del finals[index]
         self.context_total += accepted_total - released
-        self._stamp(retired, iteration)
+        finished = RequestState.FINISHED
+        for request in retired:
+            request.generated = request.output_len
+            request.state = finished
+            request.finish_iteration = iteration
         return accepted_total, retired

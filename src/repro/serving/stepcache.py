@@ -190,15 +190,20 @@ class SystemScopedCache:
                 weakref.finalize(system, self._per_system.pop, scope, None)
         return entries
 
-    def scope_entries(self, system: ServingSystem) -> OrderedDict:
-        """The system's entry map, created if absent.
+    def scope_entries(
+        self, system: ServingSystem, create: bool = True
+    ) -> Optional[OrderedDict]:
+        """The system's entry map, created if absent (``None`` instead
+        when ``create`` is false).
 
         Hoists the scope resolution (identity memo or equality probe) out
         of a hot loop: callers that price many steps for one system grab
         the map once and use :meth:`get_in` / :meth:`put_in` per lookup.
         The map stays valid as long as the caller holds the system alive.
+        Callers outside this module resolve maps only through here — the
+        layout of the scope map is private.
         """
-        return self._entries(system, create=True)
+        return self._entries(system, create)
 
     def get_in(self, entries: OrderedDict, key: Hashable) -> Optional[object]:
         """:meth:`get` against a pre-resolved entry map."""

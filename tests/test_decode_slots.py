@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.serving.request import Request, RequestState
-from repro.serving.slots import DecodeSlots, SampledSlots, SteadySlots
+from repro.serving.slots import DecodeSlots
 from repro.serving.speculative import SpeculationConfig, SpeculativeSampler
 from repro.serving.tlp_policy import AcceptanceAdaptiveTLP, FixedTLP
 
@@ -57,7 +57,7 @@ class _Pair:
     """A ledger and the reference batch it must match, step for step."""
 
     def __init__(self, config, steady, seed):
-        self.ledger = SampledSlots() if steady is None else SteadySlots(steady)
+        self.ledger = DecodeSlots(steady)
         self.active = []
         self.ledger_sampler = SpeculativeSampler(config, seed=seed)
         self.ref_sampler = SpeculativeSampler(config, seed=seed)
@@ -187,11 +187,11 @@ def test_sampled_ledger_follows_a_varying_tlp(tlps, seed, specs):
     assert _same_stream(pair.ledger_sampler, pair.ref_sampler)
 
 
-class TestSteadyIndex:
-    def test_due_step_follows_the_closed_form(self):
+class TestSteadyLedger:
+    def test_retirement_follows_the_closed_form(self):
         # Joins at step 0 owing 7 at k=3: credited 3, 3, 1 — retires at
         # step (7 - 1) // 3 = 2.
-        ledger = SteadySlots(3)
+        ledger = DecodeSlots(3)
         request = Request(request_id=0, input_len=10, output_len=7)
         ledger.admit([request])
         assert ledger.finish_free() == 2
@@ -202,8 +202,8 @@ class TestSteadyIndex:
         assert request.finish_iteration == 2
         assert request.generated == 7
 
-    def test_late_joiner_is_indexed_from_its_admission_step(self):
-        ledger = SteadySlots(1)
+    def test_late_joiner_counts_from_its_admission_step(self):
+        ledger = DecodeSlots(1)
         sampler = SpeculativeSampler(SpeculationConfig())
         early = Request(request_id=0, input_len=5, output_len=10)
         late = Request(request_id=1, input_len=5, output_len=2)
@@ -219,12 +219,11 @@ class TestSteadyIndex:
         assert ledger.finish_free() == 9 - 6
 
     def test_advance_past_a_retirement_is_refused(self):
-        ledger = SteadySlots(2)
+        ledger = DecodeSlots(2)
         ledger.admit([Request(request_id=0, input_len=5, output_len=5)])
         assert ledger.finish_free() == 2
         with pytest.raises(SimulationError):
             ledger.advance(3)
-
 
 
 class TestModeSelection:
@@ -237,11 +236,7 @@ class TestModeSelection:
     ):
         config = SpeculationConfig(speculation_length, acceptance)
         ledger = DecodeSlots.for_policy(config, FixedTLP(speculation_length))
-        if steady is None:
-            assert isinstance(ledger, SampledSlots)
-        else:
-            assert isinstance(ledger, SteadySlots)
-            assert ledger.steady == steady
+        assert ledger.steady == steady
 
     def test_other_policies_always_sample(self):
         """A dynamic policy, or a FixedTLP subclass (which could vary its
@@ -252,6 +247,4 @@ class TestModeSelection:
 
         config = SpeculationConfig(1, 1.0)
         for policy in (AcceptanceAdaptiveTLP(), Shifty(1)):
-            assert isinstance(
-                DecodeSlots.for_policy(config, policy), SampledSlots
-            )
+            assert DecodeSlots.for_policy(config, policy).steady is None
