@@ -630,7 +630,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     print("categories: " + ", ".join(available_categories()))
     print("tlp-policies: " + ", ".join(TLP_POLICY_NAMES))
     print("core modes: " + ", ".join(CORE_CHOICES)
-          + "  (repro run/cluster --core; bit-identical summaries)")
+          + "  (repro run/cluster --core; vectorized by default; "
+          + "bit-identical summaries)")
     print("arrival processes: " + ", ".join(ARRIVAL_PROCESSES)
           + "  (tenants[].traffic.arrival.kind)")
     print("replica roles: " + ", ".join(REPLICA_ROLES)
@@ -722,7 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-replica continuous-batching slots")
     cluster.add_argument("--no-step-cache", dest="step_cache",
                          action="store_false",
-                         help="disable the shared step-cost cache")
+                         help="disable the shared step-cost cache (affects "
+                              "--core scalar only; the vectorized core "
+                              "takes no step cache)")
     cluster.add_argument("--model", default="llama-65b", help="model name")
     cluster.add_argument("--spec", type=int, default=2,
                          help="speculation length (TLP)")
@@ -749,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=CONTEXT_MODES)
     cluster.add_argument("--core", default="", choices=CORE_CHOICES,
                          help="pin the simulation core preset (scalar "
-                              "reference / batched event / vectorized "
-                              "array); all three report bit-identical "
+                              "reference / vectorized array, the "
+                              "default); both report bit-identical "
                               "summaries")
     cluster.set_defaults(fn=cmd_cluster)
 
@@ -772,9 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "on its own fleet copy)")
     run.add_argument("--core", default="", choices=CORE_CHOICES,
                      help="override each scenario's simulation core "
-                          "(scalar reference / batched event / vectorized "
-                          "array); summaries are bit-identical across "
-                          "cores")
+                          "(scalar reference / vectorized array); "
+                          "summaries are bit-identical across cores")
     run.add_argument("--json", default="",
                      help="export the full result (aggregate, replicas, "
                           "per-tenant SLO reports) to a JSON file; a "

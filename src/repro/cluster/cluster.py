@@ -17,6 +17,14 @@ another — which is exactly the behavior a wall-clock cluster would show,
 and what makes per-replica utilization and FC-migration counts meaningful
 evaluation outputs (cf. C2CServe / HERMES treating the cluster, not the
 engine, as the unit of evaluation).
+
+Two cores run this timeline. :class:`ClusterSimulator` is the reference:
+an event heap over a plain replica list, which the routers and the
+admission controller price one replica at a time.
+:class:`VectorizedClusterSimulator` (``core_mode="vectorized"``, the
+scenario default) answers the same probes from a
+:class:`~repro.cluster.fleetstate.FleetState`'s fleet-wide arrays. The
+equivalence suite pins the two cores' summaries bit-for-bit.
 """
 
 from __future__ import annotations
@@ -181,7 +189,7 @@ class ClusterSummary:
             empty for stateless policies.
         probe_memo: Fleet-version verdict-memo counters from the
             vectorized core (probe_hits, probe_misses, hit_rate,
-            runs_coalesced, version_bumps); empty under the event core.
+            runs_coalesced, version_bumps); empty under the scalar core.
         tenants: Per-tenant reports keyed by tenant name, in trace
             arrival order (single-tenant runs report one ``default``
             entry).
@@ -355,7 +363,7 @@ class ClusterSimulator:
         """The admission controller's cross-handoff completion probe.
 
         ``decode_view`` is how this core sees the decode pool — the raw
-        replica list on the event cores, the pool's
+        replica list on the scalar core, the pool's
         :class:`~repro.cluster.fleetstate.FleetState` on the vectorized
         core — so the probe's decode term rides whatever machinery the
         core already prices stage-2 with.
@@ -366,7 +374,6 @@ class ClusterSimulator:
             decode_view,
             self.interconnect,
             self.admission.price_cache,
-            batched=self.admission.batched,
         )
 
     def _hint_prefix(self, request: Request) -> None:
@@ -747,22 +754,16 @@ class VectorizedClusterSimulator(ClusterSimulator):
         def push_followup(time_s: float, request: Request) -> None:
             calendar.push(time_s, ARRIVAL_CODE, request)
 
-        probe_min = getattr(fleet, "probe_min_completion", None)
-        # The admission controller's batched fast path, inlined: one
+        probe_min = fleet.probe_min_completion
+        # The admission controller's FleetState path, inlined: one
         # verdict-memo probe and a handful of plain dict/float ops per
         # storm member, no method-call round trip through decide().
         # Mirrors SLOAdmissionController.decide branch for branch (the
-        # equivalence suite pins the outcomes); non-batched controllers
-        # keep the reference call.
-        inline_admission = (
-            admission is not None
-            and admission.batched
-            and probe_min is not None
-        )
-        if inline_admission:
+        # equivalence suite pins the outcomes).
+        if admission is not None:
             policies = admission.policies
             defers_used = admission._defers_used
-            probe_batch = getattr(fleet, "probe_min_batch", None)
+            probe_batch = fleet.probe_min_batch
             upcoming = calendar.upcoming_arrivals
             # Version-keyed verdict rows: request_id -> projected best
             # completion, batch-priced for the current fleet version.
@@ -814,7 +815,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
                     if request.session_id is not None:
                         self._hint_prefix(request)
                     admitted = True
-                    if inline_admission:
+                    if admission is not None:
                         deadline = request.deadline_s
                         if deadline is not None:
                             policy = policies.get(request.tenant)
@@ -897,18 +898,6 @@ class VectorizedClusterSimulator(ClusterSimulator):
                                         rejected_counts[
                                             request.tenant
                                         ] += 1
-                    elif admission is not None:
-                        decision, backoff = admission.decide(
-                            request, fleet, now
-                        )
-                        if decision is AdmissionDecision.REJECT:
-                            request.state = RequestState.REJECTED
-                            rejected_counts[request.tenant] += 1
-                            admitted = False
-                        elif decision is AdmissionDecision.DEFER:
-                            deferral_counts[request.tenant] += 1
-                            push_arrival_after(backoff, request)
-                            admitted = False
                     if admitted:
                         index = select(request, fleet, now)
                         if not 0 <= index < replica_count:
@@ -987,7 +976,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
             stats[tenant]["deferrals"] += count
         for tenant, count in rejected_counts.items():
             stats[tenant]["rejected"] += count
-        if inline_admission:
+        if admission is not None:
             fleet.probe_hits += row_hits
         router_cache = (
             dict(fleet.price_stats())
@@ -1003,7 +992,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
     ) -> ClusterSummary:
         """The role-typed twin of :meth:`run`.
 
-        Same two-stage event semantics as the event core's disaggregated
+        Same two-stage event semantics as the scalar core's disaggregated
         path — the equivalence suite pins the summaries — with the decode
         pool behind its :class:`~repro.cluster.fleetstate.FleetState`:
         stage-2 routing and the admission prober's decode term answer

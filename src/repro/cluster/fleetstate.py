@@ -14,10 +14,10 @@ simulator idiom: bank state as dense tensors advanced in bulk):
   (:meth:`FleetState.fleet_step_seconds`,
   :meth:`FleetState.fleet_completion_seconds`) project every replica's
   post-admission batch shape with vector arithmetic and gather prices
-  from per-group dense tables; misses are priced through the *same*
-  pinned-target :func:`~repro.systems.batch.price_steps_at` path the
-  fleet-batched core uses, so every lane stays bit-identical to the
-  scalar probe.
+  from per-group dense tables; misses are priced through the
+  pinned-target :func:`~repro.systems.batch.price_steps_at` path at the
+  placement each replica plans, so every lane stays bit-identical to the
+  reference probe (:func:`~repro.cluster.router.projected_step_seconds`).
 * :class:`VectorReplica` — a :class:`~repro.cluster.replica.Replica`
   whose per-step bookkeeping runs on a
   :class:`~repro.serving.slots.DecodeSlots` ledger (context and
@@ -33,9 +33,8 @@ configuration-equal systems serving one workload. The FC placement is
 *not* a pure function of ``(rlp, tlp)`` — PAPI's standing decision can
 lag the stateless ``rlp * tlp > alpha`` rule right after a TLP-policy
 register write — so each probe resolves every replica's target through
-that replica's own ``plan_fc_target`` (exactly as the scalar and
-fleet-batched reference probes do) and the target is part of the table
-index. This is the same key discipline the shared step-cost cache
+that replica's own ``plan_fc_target`` (exactly as the reference probe
+does) and the target is part of the table index. This is the same key discipline the shared step-cost cache
 documents: divergent scheduler state between replicas can never alias.
 """
 
@@ -432,8 +431,8 @@ class _PriceGroup:
     """One interchangeable-pricing group of a fleet's replicas.
 
     Replicas sharing a configuration-equal system and the same workload
-    price identically (the same grouping the PR 5 fleet-batched pricer
-    derives from the shared cache's scope), so one dense table of step
+    price identically (the grouping the shared price cache derives from
+    its scopes), so one dense table of step
     prices — indexed ``[fc target, rlp, tlp, context bucket]``, ``NaN``
     marking unpriced points — serves them all.
     """
@@ -477,8 +476,10 @@ class FleetState:
     paths dispatch on:
 
     * :meth:`fleet_step_seconds` / :meth:`fleet_completion_seconds` —
-      array-parallel twins of the ``projected_*_fleet`` probes (the
-      router module forwards to these when present).
+      array-parallel twins of the reference probes
+      :func:`~repro.cluster.router.projected_step_seconds` /
+      :func:`~repro.cluster.router.projected_completion_seconds` (the
+      routers dispatch to these when present).
     * :meth:`outstanding_counts` — queued + active per replica, for
       vectorized router ranking.
     * :meth:`mark_dirty` / ``_flush`` — the simulator marks a replica
@@ -684,7 +685,7 @@ class FleetState:
     def _build_groups(self) -> List[_PriceGroup]:
         """Group replicas by interchangeable pricing.
 
-        Same criterion as the fleet-batched pricer's cache scopes —
+        Same criterion as the shared price cache's scopes —
         systems of the same configuration
         (:func:`~repro.systems.base.same_configuration`: type, pipeline
         depth, dataclass equality) serving the same workload — plus the
@@ -820,10 +821,10 @@ class FleetState:
         """Projected next-iteration seconds for every replica.
 
         Bit-identical lane-for-lane to
-        :func:`~repro.cluster.router.projected_step_seconds_fleet` over
-        the same replicas: the same projected batch shapes, the same
-        pinned-target pricing for misses — only the bookkeeping is
-        arrays and dense tables instead of dicts.
+        :func:`~repro.cluster.router.projected_step_seconds` on each
+        replica: the same projected batch shapes and the same price —
+        only the bookkeeping is arrays and dense tables instead of
+        per-replica probes.
         """
         values = self._fleet_step_array(request)
         result = values.tolist()
@@ -1083,9 +1084,9 @@ class FleetState:
         """Price a probe's unseen operating points and fill the table.
 
         Identical projections collapse to one grid lane; lanes are priced
-        in a single pinned-target :func:`price_steps_at` call — the exact
-        call the fleet-batched reference path makes for its misses, with
-        each lane's FC target pinned to what its replica planned.
+        in a single pinned-target :func:`price_steps_at` call, each
+        lane's FC target pinned to what its replica planned — the
+        placement the reference probe's ``price_steps`` call plans.
         """
         lanes: Dict[Tuple[int, int, int, int], List[int]] = {}
         for position in np.nonzero(missing)[0].tolist():
@@ -1124,15 +1125,15 @@ class FleetState:
         """Projected completion seconds for every replica.
 
         Bit-identical lane-for-lane to
-        :func:`~repro.cluster.router.projected_completion_seconds_fleet`:
-        the same ceil / backlog-drain arithmetic, elementwise.
+        :func:`~repro.cluster.router.projected_completion_seconds`: the
+        same ceil / backlog-drain arithmetic, elementwise.
         """
         if step_seconds is None:
             steps = self._fleet_step_array(request)
         elif step_seconds is self._last_step_list:
-            # The admission controller (and the slo-slack router) hand
-            # back the exact list the step probe just returned; reuse its
-            # array twin instead of re-converting.
+            # The session-affinity router hands back the exact list the
+            # step probe just returned; reuse its array twin instead of
+            # re-converting.
             steps = self._last_step_array
         else:
             steps = np.asarray(step_seconds, dtype=np.float64)
@@ -1329,7 +1330,7 @@ class FleetState:
         """The admission controller's fast path: best projected completion.
 
         Equals ``min(fleet_completion_seconds(request, steps))`` — the
-        value the batched reference compares against the deadline — via
+        value the reference compares against the deadline — via
         the version memo. The hit path is hand-inlined (version check,
         steps key, one dict probe): deferral storms take it millions of
         times per trace, so every avoided method call is wall-clock.

@@ -34,6 +34,14 @@ Six policies:
   whose cache holds their prefix, as long as its projected cost stays
   within a tolerance of the fleet minimum (and any deadline still
   holds); non-session traffic routes exactly as slo-slack.
+
+Every price-aware policy has exactly two paths, picked from the fleet it
+is handed. A plain replica list is priced one replica at a time by the
+reference probes (:func:`projected_step_seconds`,
+:func:`projected_completion_seconds`). A
+:class:`~repro.cluster.fleetstate.FleetState` — the vectorized core's
+array-backed fleet view — answers from its array probes and
+fleet-version verdict memos, lane for lane equal to the reference.
 """
 
 from __future__ import annotations
@@ -49,21 +57,12 @@ from repro.errors import ConfigurationError
 from repro.models.workload import build_step_grid
 from repro.serving.request import Request
 from repro.serving.stepcache import SystemScopedCache
-from repro.systems.batch import price_steps_at
 
 #: Context quantization for admission pricing: coarse enough that
 #: consecutive arrivals projecting near-identical batches share one
 #: cached price, fine enough that it never flips a routing decision the
 #: cost model could defend (same bucket the design-space sweeps use).
 ADMISSION_CONTEXT_BUCKET = 32
-
-#: An admission-price key within one system's scope:
-#: (workload name, fc target, rlp, tlp, bucketed context). The scalar
-#: path keys the placement enum member; the fleet-batched path keys its
-#: ``value`` string (whose hash is cached) — the two shapes can never
-#: collide, and each path is self-consistent.
-PriceKey = Tuple[str, object, int, int, int]
-
 
 class PriceCache(SystemScopedCache):
     """Bounded LRU of projected admission prices, scoped per system.
@@ -76,48 +75,9 @@ class PriceCache(SystemScopedCache):
     entries when it is garbage-collected (so a recycled id can never
     serve another system's prices, e.g. when one router instance outlives
     a cluster run), and keeps the hit/miss counters the cluster report
-    surfaces.
-
-    ``fleet_memo`` carries the *current arrival's* fleet probe from the
-    admission controller to the router: within one ``ARRIVAL`` event the
-    controller decides first and the router selects second against
-    byte-for-byte identical replica state, so the controller's
-    (step, completion) projections can be reused verbatim instead of
-    re-probing the fleet. The memo is only honored for the same request
-    *object*, the same simulated instant, and the same replica list (see
-    :func:`fleet_probe_memo`), which makes staleness structurally
-    impossible: any intervening event changes at least one of the three.
+    surfaces. Keys are (workload name, planned FC placement or
+    :data:`PREFILL_PRICE_TARGET`, rlp, tlp, bucketed context).
     """
-
-    def __init__(
-        self, max_entries: int = 4096, share_equal_systems: bool = False
-    ) -> None:
-        super().__init__(max_entries, share_equal_systems)
-        self.fleet_memo: Optional[tuple] = None
-
-
-def fleet_probe_memo(
-    cache: Optional[PriceCache],
-    replicas: Sequence[Replica],
-    request: Request,
-    now: float,
-) -> Optional[Tuple[List[float], List[float]]]:
-    """The admission controller's fleet probe for this exact arrival.
-
-    Returns ``(step_seconds, completion_seconds)`` lists when ``cache``
-    holds a memo for the same request object, instant, and replica list;
-    ``None`` otherwise.
-    """
-    if cache is None or cache.fleet_memo is None:
-        return None
-    memo_replicas, memo_request, memo_now, steps, completions = cache.fleet_memo
-    if (
-        memo_request is request
-        and memo_now == now
-        and memo_replicas is replicas
-    ):
-        return steps, completions
-    return None
 
 
 def projected_step_seconds(
@@ -125,15 +85,17 @@ def projected_step_seconds(
 ) -> float:
     """Projected next-iteration seconds if ``request`` joins ``replica``.
 
-    Builds the hypothetical post-admission batch — active requests, then
+    The hypothetical post-admission batch — active requests, then
     FIFO-queued ones, then the candidate, truncated to the replica's
     batch slots so only requests that could actually compose the next
-    decode batch shape the projection — and prices one decoding step at
-    the batch's (bucketed) mean context through the system's vectorized
-    pricing path. This is the admission-cost signal heterogeneous fleets
-    route on: each replica's own cost model answers, so a GPU-only
-    system reports its launch-overhead-heavy low-batch cost, a PIM
-    system its bandwidth-bound high-batch cost.
+    decode batch shape the projection — comes from
+    :meth:`~repro.cluster.replica.Replica.projected_admission_load`, and
+    one decoding step is priced at the batch's (bucketed) mean context
+    through the system's vectorized pricing path. This is the
+    admission-cost signal heterogeneous fleets route on: each replica's
+    own cost model answers, so a GPU-only system reports its
+    launch-overhead-heavy low-batch cost, a PIM system its
+    bandwidth-bound high-batch cost.
 
     ``cache`` memoizes prices per (system, workload, FC placement, RLP,
     TLP, bucketed context); routers pass their per-instance
@@ -143,12 +105,13 @@ def projected_step_seconds(
     cache), so a PAPI scheduler's standing decision can never serve a
     stale price. MoE replicas price (and key) the routed expert FFN, so
     a mixed MoE + dense fleet routes on each replica's true cost.
+
+    This is the reference probe: a
+    :class:`~repro.cluster.fleetstate.FleetState` computes the same
+    value for every replica at once
+    (:meth:`~repro.cluster.fleetstate.FleetState.fleet_step_seconds`).
     """
-    rlp = min(replica.outstanding() + 1, replica.max_batch_size)
-    contexts = replica.outstanding_context_lens()
-    contexts.append(request.input_len)
-    contexts = contexts[:rlp]
-    mean_context = max(1, round(sum(contexts) / len(contexts)))
+    rlp, mean_context = replica.projected_admission_load(request.input_len)
     bucket = ADMISSION_CONTEXT_BUCKET
     mean_context = max(bucket, round(mean_context / bucket) * bucket)
     tlp = replica.current_tlp
@@ -173,119 +136,24 @@ def projected_step_seconds(
     return seconds
 
 
-def projected_step_seconds_fleet(
+def _step_costs(
     replicas: Sequence[Replica],
     request: Request,
-    cache: Optional[PriceCache] = None,
+    cache: Optional[PriceCache],
 ) -> List[float]:
-    """Projected next-iteration seconds for every replica, in one pass.
+    """:func:`projected_step_seconds` for every replica of a fleet.
 
-    The fleet-batched twin of :func:`projected_step_seconds`, and the
-    per-arrival hot path of the price-aware routers and the admission
-    controller: each replica's post-admission batch shape comes from its
-    O(1) load counters (:meth:`Replica.projected_admission_load`), cache
-    hits are answered immediately, and the *misses* are grouped by
-    interchangeable pricing — same workload, configuration-equal system
-    (the shared cache's scope, see
-    :meth:`~repro.serving.stepcache.SystemScopedCache.scope_key`) — and
-    priced in one pinned-target
-    :func:`~repro.systems.batch.price_steps_at` call per group instead of
-    one ``price_steps`` trip per replica. Every returned lane is
-    bit-identical to ``projected_step_seconds(replica, request, cache)``:
-    the same key, the same grid point, the same arithmetic — only the
-    batching differs.
-
-    When ``replicas`` is a :class:`~repro.cluster.fleetstate.FleetState`
-    (the vectorized core's array-backed fleet view), the probe forwards
-    to its :meth:`~repro.cluster.fleetstate.FleetState.fleet_step_seconds`
-    — the same projections and the same pinned-target pricing, computed
-    as fleet-wide array operations against dense price tables.
+    A :class:`~repro.cluster.fleetstate.FleetState` answers from its
+    array probe; a plain replica list runs the reference probe per
+    replica. The lanes are identical either way.
     """
     fleet = getattr(replicas, "fleet_step_seconds", None)
     if fleet is not None:
         return fleet(request)
-    bucket = ADMISSION_CONTEXT_BUCKET
-    input_len = request.input_len
-    seconds: List[Optional[float]] = [None] * len(replicas)
-    keys: List[Optional[PriceKey]] = [None] * len(replicas)
-    targets: List[object] = [None] * len(replicas)
-    # Miss groups: scope id -> (representative replica, [replica index]).
-    groups: Dict[object, Tuple[Replica, List[int]]] = {}
-    # This loop runs replicas x arrivals times; the cache is consulted
-    # through each system's entry map (hit/miss tallies folded in below)
-    # rather than per-probe get() calls, and keys carry the placement's
-    # *value* string (cached hash) instead of the enum member. Hits skip
-    # the LRU recency bump — eviction order is a cache-quality knob,
-    # never a result.
-    if cache is not None:
-        scope_of = cache.scope_key
-        entries_of = cache.scope_entries
-    hits = 0
-    misses = 0
-    for index, replica in enumerate(replicas):
-        rlp, mean_context = replica.projected_admission_load(input_len)
-        mean_context = max(bucket, round(mean_context / bucket) * bucket)
-        tlp = replica._current_tlp
-        system = replica.system
-        target = system.plan_fc_target(rlp, tlp)
-        key = (
-            replica._workload_name,
-            target.value,
-            rlp,
-            tlp,
-            mean_context,
-        )
-        if cache is not None:
-            entries = entries_of(system, False)
-            cached = entries.get(key) if entries is not None else None
-            if cached is not None:
-                hits += 1
-                seconds[index] = cached
-                continue
-            misses += 1
-            scope = scope_of(system)
-        else:
-            scope = id(system)
-        keys[index] = key
-        targets[index] = target
-        # Group misses by interchangeable pricing: configuration-equal
-        # system (the cache scope) serving the same workload. Mixed
-        # fleets (MoE next to dense on identical hardware) split here.
-        group_key = (scope, replica._workload_name)
-        group = groups.get(group_key)
-        if group is None:
-            groups[group_key] = (replica, [index])
-        else:
-            group[1].append(index)
-    if cache is not None:
-        cache.hits += hits
-        cache.misses += misses
-    for representative, indices in groups.values():
-        # Identical projections (e.g. a rank of idle equal replicas all
-        # probing the same point) collapse to one grid lane.
-        unique: Dict[PriceKey, List[int]] = {}
-        for index in indices:
-            unique.setdefault(keys[index], []).append(index)
-        lanes = list(unique)
-        grid = build_step_grid(
-            representative.model,
-            [key[2] for key in lanes],
-            [key[3] for key in lanes],
-            [key[4] for key in lanes],
-            moe=representative.moe,
-        )
-        priced = price_steps_at(
-            representative.system,
-            grid,
-            tuple(targets[unique[key][0]] for key in lanes),
-        )
-        for lane, key in enumerate(lanes):
-            value = float(priced.seconds[lane])
-            for index in unique[key]:
-                seconds[index] = value
-                if cache is not None:
-                    cache.put(replicas[index].system, key, value)
-    return seconds
+    return [
+        projected_step_seconds(replica, request, cache)
+        for replica in replicas
+    ]
 
 
 def projected_completion_seconds(
@@ -322,47 +190,8 @@ def projected_completion_seconds(
     return (own + backlog) * per_iteration
 
 
-def projected_completion_seconds_fleet(
-    replicas: Sequence[Replica],
-    request: Request,
-    cache: Optional[PriceCache] = None,
-    step_seconds: Optional[Sequence[float]] = None,
-) -> List[float]:
-    """Projected completion seconds for every replica, in one pass.
-
-    The fleet-batched twin of :func:`projected_completion_seconds`: the
-    step prices come from one :func:`projected_step_seconds_fleet` call
-    (or, for callers that already priced the fleet this arrival, the
-    ``step_seconds`` they got back — the ``slo-slack`` router reuses its
-    min-cost pass instead of pricing twice), and the speculation
-    constants are the replicas' hoisted per-iteration values. Lane ``i``
-    is bit-identical to ``projected_completion_seconds(replicas[i], ...)``.
-
-    :class:`~repro.cluster.fleetstate.FleetState` fleets forward to the
-    array-parallel
-    :meth:`~repro.cluster.fleetstate.FleetState.fleet_completion_seconds`.
-    """
-    fleet = getattr(replicas, "fleet_completion_seconds", None)
-    if fleet is not None:
-        return fleet(request, step_seconds)
-    if step_seconds is None:
-        step_seconds = projected_step_seconds_fleet(replicas, request, cache)
-    output_len = request.output_len
-    completions: List[float] = []
-    for replica, step_s in zip(replicas, step_seconds):
-        per_iteration = step_s + replica.draft_overhead_per_iteration_s
-        expected = replica.expected_tokens_per_iteration
-        own = math.ceil(output_len / expected)
-        backlog = replica.outstanding_remaining_tokens() / (
-            expected * replica.max_batch_size
-        )
-        completions.append((own + backlog) * per_iteration)
-    return completions
-
-
 #: Cache-key sentinel for prompt-pass prices. Decode-step keys carry the
-#: planned FC placement in this slot (an enum member on the scalar path,
-#: its value string on the fleet path); the sentinel shares their cache
+#: planned FC placement in this slot; the sentinel shares their cache
 #: without ever colliding.
 PREFILL_PRICE_TARGET = "prefill-pass"
 
@@ -432,44 +261,33 @@ def best_decode_step_seconds(
     replicas: Sequence[Replica],
     request: Request,
     cache: Optional[PriceCache] = None,
-    batched: bool = True,
 ) -> float:
     """Cheapest projected decode step across a pool.
 
-    The decode-pool term of full-path pricing. Every lane is the pinned
-    :func:`projected_step_seconds` value, so the minimum is identical
-    whether the pool is probed scalar (``batched=False``), fleet-batched,
-    or through a :class:`~repro.cluster.fleetstate.FleetState`.
+    The decode-pool term of full-path pricing: the minimum over the
+    :func:`projected_step_seconds` lanes, whether the pool is a replica
+    list or a :class:`~repro.cluster.fleetstate.FleetState`.
     """
-    if batched:
-        return min(projected_step_seconds_fleet(replicas, request, cache))
-    return min(
-        projected_step_seconds(replica, request, cache)
-        for replica in replicas
-    )
+    return min(_step_costs(replicas, request, cache))
 
 
 def best_decode_completion_seconds(
     replicas: Sequence[Replica],
     request: Request,
     cache: Optional[PriceCache] = None,
-    batched: bool = True,
 ) -> float:
-    """Earliest projected completion across a decode pool.
+    """Earliest projected completion across a pool.
 
-    :class:`~repro.cluster.fleetstate.FleetState` pools answer from the
-    memoized
-    :meth:`~repro.cluster.fleetstate.FleetState.probe_min_completion`
-    verdict; list pools take the minimum over the (bit-identical)
-    per-replica projections.
+    Fleets with a ``probe_min_completion`` verdict — a
+    :class:`~repro.cluster.fleetstate.FleetState` (its memoized
+    :meth:`~repro.cluster.fleetstate.FleetState.probe_min_completion`)
+    or an admission :class:`~repro.cluster.admission.PathProber` —
+    answer from it; replica lists take the minimum over the per-replica
+    :func:`projected_completion_seconds`.
     """
-    if batched:
-        probe = getattr(replicas, "probe_min_completion", None)
-        if probe is not None:
-            return probe(request)
-        return min(
-            projected_completion_seconds_fleet(replicas, request, cache)
-        )
+    probe = getattr(replicas, "probe_min_completion", None)
+    if probe is not None:
+        return probe(request)
     return min(
         projected_completion_seconds(replica, request, cache)
         for replica in replicas
@@ -581,12 +399,9 @@ class IntensityAwareRouter(Router):
 
     name = "intensity"
 
-    def __init__(
-        self, max_cache_entries: int = 4096, batched: bool = True
-    ) -> None:
-        self.batched = batched
+    def __init__(self, max_cache_entries: int = 4096) -> None:
         self._price_cache = PriceCache(
-            max_cache_entries, share_equal_systems=batched
+            max_cache_entries, share_equal_systems=True
         )
 
     @property
@@ -628,27 +443,16 @@ class IntensityAwareRouter(Router):
         if flip:
             return min(flip)[2]
         if fallback:
-            if self.batched:
-                costs = projected_step_seconds_fleet(
-                    [replicas[i] for _, i in fallback],
-                    request,
-                    self._price_cache,
+            ranked = [
+                (
+                    projected_step_seconds(
+                        replicas[i], request, self._price_cache
+                    ),
+                    outstanding,
+                    i,
                 )
-                ranked = [
-                    (cost, outstanding, i)
-                    for cost, (outstanding, i) in zip(costs, fallback)
-                ]
-            else:
-                ranked = [
-                    (
-                        projected_step_seconds(
-                            replicas[i], request, self._price_cache
-                        ),
-                        outstanding,
-                        i,
-                    )
-                    for outstanding, i in fallback
-                ]
+                for outstanding, i in fallback
+            ]
             return min(ranked)[2]
         raise ConfigurationError("cluster has no replicas")
 
@@ -670,64 +474,27 @@ class MinCostRouter(Router):
 
     name = "min-cost"
 
-    def __init__(
-        self, max_cache_entries: int = 4096, batched: bool = True
-    ) -> None:
-        self.batched = batched
+    def __init__(self, max_cache_entries: int = 4096) -> None:
         self._price_cache = PriceCache(
-            max_cache_entries, share_equal_systems=batched
+            max_cache_entries, share_equal_systems=True
         )
 
     @property
     def price_cache(self) -> PriceCache:
         return self._price_cache
 
-    def _step_costs(
-        self,
-        request: Request,
-        replicas: Sequence[Replica],
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """Per-replica projected admission price, batched when enabled.
-
-        With ``now`` given, an admission-controller fleet probe for this
-        exact arrival (same request object, instant, and replica list) is
-        reused instead of re-priced — see :func:`fleet_probe_memo`.
-        """
-        if self.batched:
-            if now is not None:
-                memo = fleet_probe_memo(
-                    self._price_cache, replicas, request, now
-                )
-                if memo is not None:
-                    return memo[0]
-            return projected_step_seconds_fleet(
-                replicas, request, self._price_cache
-            )
-        return [
-            projected_step_seconds(replica, request, self._price_cache)
-            for replica in replicas
-        ]
-
     def select(
         self, request: Request, replicas: Sequence[Replica], now: float
     ) -> int:
         if not replicas:
             raise ConfigurationError("cluster has no replicas")
-        if self.batched:
-            fast = getattr(replicas, "route_min_cost", None)
-            if fast is not None:
-                # Vectorized fleets return the memoized verdict directly:
-                # the same lexsort over the same probe vectors, reused
-                # O(1) while the fleet version holds still.
-                return fast(request)
-        costs = self._step_costs(request, replicas, now)
-        counts = getattr(replicas, "outstanding_counts", None)
-        if counts is not None:
-            # lexsort ranks by its *last* key first and is stable, so
-            # (cost, outstanding, index) ordering matches the tuple min.
-            order = np.lexsort((counts(), np.asarray(costs)))
-            return int(order[0])
+        fast = getattr(replicas, "route_min_cost", None)
+        if fast is not None:
+            # A FleetState returns its memoized verdict: the same
+            # (cost, outstanding, index) ranking over its array probe,
+            # reused O(1) while the fleet version holds still.
+            return fast(request)
+        costs = _step_costs(replicas, request, self._price_cache)
         ranked = [
             (cost, replica.outstanding(), i)
             for i, (cost, replica) in enumerate(zip(costs, replicas))
@@ -752,9 +519,7 @@ class MinCostRouter(Router):
         """
         tail = interconnect.transfer_seconds(
             request.input_len + 1
-        ) + best_decode_step_seconds(
-            decode_pool, request, self._price_cache, batched=self.batched
-        )
+        ) + best_decode_step_seconds(decode_pool, request, self._price_cache)
         return [
             projected_prefill_seconds(replica, request, self._price_cache)
             + tail
@@ -806,39 +571,16 @@ class SLOSlackRouter(MinCostRouter):
     ) -> int:
         if not replicas:
             raise ConfigurationError("cluster has no replicas")
-        if self.batched:
-            fast = getattr(replicas, "route_slo_slack", None)
-            if fast is not None:
-                # Vectorized fleets return the memoized verdict directly
-                # (slack recomputed elementwise against this arrival's
-                # deadline and clock; everything else reused O(1) while
-                # the fleet version holds still).
-                return fast(request, now)
-        memo = (
-            fleet_probe_memo(self._price_cache, replicas, request, now)
-            if self.batched
-            else None
-        )
-        costs = (
-            memo[0] if memo is not None
-            else self._step_costs(request, replicas)
-        )
+        fast = getattr(replicas, "route_slo_slack", None)
+        if fast is not None:
+            # A FleetState returns its memoized verdict (slack recomputed
+            # elementwise against this arrival's deadline and clock;
+            # everything else reused O(1) while the fleet version holds
+            # still).
+            return fast(request, now)
+        costs = _step_costs(replicas, request, self._price_cache)
         if request.deadline_s is None:
             slacks: Sequence[float] = (math.inf,) * len(replicas)
-        elif self.batched:
-            # Reuse this arrival's projections: the admission controller
-            # probed identical replica state a moment ago (the memo), and
-            # even without one the completion pass shares the step prices
-            # — the scalar path prices twice and hits the cache; the
-            # fleet path skips the second key-build round entirely.
-            completions = (
-                memo[1] if memo is not None
-                else projected_completion_seconds_fleet(
-                    replicas, request, self._price_cache, step_seconds=costs
-                )
-            )
-            deadline = request.deadline_s
-            slacks = [deadline - (now + c) for c in completions]
         else:
             slacks = [
                 request.deadline_s
@@ -850,18 +592,6 @@ class SLOSlackRouter(MinCostRouter):
                 )
                 for replica in replicas
             ]
-        counts_fn = getattr(replicas, "outstanding_counts", None)
-        if counts_fn is not None:
-            counts = counts_fn()
-            cost_arr = np.asarray(costs)
-            slack_arr = np.asarray(slacks)
-            feasible_mask = slack_arr >= 0.0
-            if feasible_mask.any():
-                idx = np.nonzero(feasible_mask)[0]
-                order = np.lexsort((counts[idx], cost_arr[idx]))
-                return int(idx[order[0]])
-            order = np.lexsort((counts, cost_arr, -slack_arr))
-            return int(order[0])
         feasible: List[Tuple[float, int, int]] = []  # (cost, outstanding, i)
         ranked: List[Tuple[float, float, int, int]] = []  # (-slack, cost, ...)
         for i, replica in enumerate(replicas):
@@ -903,7 +633,7 @@ class SLOSlackRouter(MinCostRouter):
         tail = interconnect.transfer_seconds(
             request.input_len + 1
         ) + best_decode_completion_seconds(
-            decode_pool, request, self._price_cache, batched=self.batched
+            decode_pool, request, self._price_cache
         )
         deadline = request.deadline_s
         feasible: List[Tuple[float, int, int]] = []  # (cost, outstanding, i)
@@ -951,10 +681,10 @@ class SessionAffinityRouter(SLOSlackRouter):
     Non-session requests — and stage-2 decode-pool routing, where no
     prefix cache exists — take the parent verdict untouched, so
     independent traffic routes bit-identically to ``slo-slack``. Every
-    probe this overlay adds goes through the same fleet-batched /
-    vectorized pricing surfaces as the base policy (memoized dense
-    tables on a :class:`~repro.cluster.fleetstate.FleetState`), so the
-    three simulation cores agree bit-for-bit.
+    probe this overlay adds goes through the same pricing surfaces as
+    the base policy (memoized dense tables on a
+    :class:`~repro.cluster.fleetstate.FleetState`, the reference probes
+    on a replica list), so the two simulation cores agree bit-for-bit.
     """
 
     name = "session-affinity"
@@ -962,10 +692,9 @@ class SessionAffinityRouter(SLOSlackRouter):
     def __init__(
         self,
         max_cache_entries: int = 4096,
-        batched: bool = True,
         tolerance: float = AFFINITY_TOLERANCE,
     ) -> None:
-        super().__init__(max_cache_entries, batched=batched)
+        super().__init__(max_cache_entries)
         if tolerance < 0:
             raise ConfigurationError("tolerance must be non-negative")
         self.tolerance = tolerance
@@ -986,17 +715,15 @@ class SessionAffinityRouter(SLOSlackRouter):
         """Whether the home's projected completion meets the deadline.
 
         The slack is computed exactly as the base policy computes it —
-        ``deadline - (now + completion)`` over the same fleet-batched
-        projection — so feasibility here can never disagree with what
-        slo-slack itself would have concluded about the home lane.
+        ``deadline - (now + completion)`` over the same projection — so
+        feasibility here can never disagree with what slo-slack itself
+        would have concluded about the home lane.
         """
         if request.deadline_s is None:
             return True
-        if self.batched:
-            completions = projected_completion_seconds_fleet(
-                replicas, request, self._price_cache, step_seconds=costs
-            )
-            completion = completions[home]
+        fleet = getattr(replicas, "fleet_completion_seconds", None)
+        if fleet is not None:
+            completion = fleet(request, costs)[home]
         else:
             completion = projected_completion_seconds(
                 replicas[home], request, self._price_cache
@@ -1015,7 +742,7 @@ class SessionAffinityRouter(SLOSlackRouter):
         choice = best
         home = self._session_homes.get(session)
         if home is not None and home != best and home < len(replicas):
-            costs = self._step_costs(request, replicas, now)
+            costs = _step_costs(replicas, request, self._price_cache)
             if costs[home] <= costs[best] * (
                 1.0 + self.tolerance
             ) and self._meets_deadline(request, replicas, home, costs, now):
@@ -1050,10 +777,7 @@ class SessionAffinityRouter(SLOSlackRouter):
                 ) + interconnect.transfer_seconds(
                     request.input_len + 1
                 ) + best_decode_completion_seconds(
-                    decode_pool,
-                    request,
-                    self._price_cache,
-                    batched=self.batched,
+                    decode_pool, request, self._price_cache
                 )
                 feasible = request.deadline_s - (now + completion) >= 0.0
             if feasible and costs[home] <= costs[best] * (
@@ -1079,14 +803,8 @@ def available_routers() -> Tuple[str, ...]:
     return tuple(sorted(_ROUTERS))
 
 
-def build_router(name: str, batched: bool = True) -> Router:
-    """Instantiate a routing policy by registry name.
-
-    ``batched`` selects fleet-batched admission pricing on the
-    price-aware policies (scalar per-replica pricing when ``False`` —
-    the pre-optimization reference path, bit-identical in routing
-    decisions); stateless policies ignore it.
-    """
+def build_router(name: str) -> Router:
+    """Instantiate a routing policy by registry name."""
     try:
         cls = _ROUTERS[name.lower()]
     except KeyError:
@@ -1094,6 +812,4 @@ def build_router(name: str, batched: bool = True) -> Router:
         raise ConfigurationError(
             f"unknown router {name!r}; known routers: {known}"
         ) from None
-    if issubclass(cls, (MinCostRouter, IntensityAwareRouter)):
-        return cls(batched=batched)
     return cls()

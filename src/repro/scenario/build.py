@@ -76,7 +76,7 @@ def _build_speculation(workload: WorkloadSpec) -> SpeculationConfig:
 def build_replicas(spec: ScenarioSpec) -> List[Replica]:
     """The fleet, replica ids assigned in group order.
 
-    On the scalar and event cores the shared step-cost cache scopes
+    On the scalar core the shared step-cost cache scopes
     entries by system *configuration* (``share_equal_systems``): a
     homogeneous fleet prices each distinct decoding step once for all
     replicas instead of once per replica. Cached results are pure
@@ -286,8 +286,8 @@ def build_requests(spec: ScenarioSpec) -> List[Request]:
 
 
 def build_routing(spec: ScenarioSpec) -> Router:
-    """The scenario's routing policy (fleet-batched pricing per spec)."""
-    return build_router(spec.routing.policy, batched=spec.routing.batched)
+    """The scenario's routing policy."""
+    return build_router(spec.routing.policy)
 
 
 def build_admission(
@@ -311,6 +311,4 @@ def build_admission(
     }
     if not policies:
         return None
-    return SLOAdmissionController(
-        policies, price_cache=price_cache, batched=spec.routing.batched
-    )
+    return SLOAdmissionController(policies, price_cache=price_cache)

@@ -9,6 +9,11 @@ workers=N)`` fans a batch of independent scenarios across the sweep
 engine's process-parallel workers — the way to sweep a design question
 (routing policies, fleet sizes, admission budgets) across many
 full-cluster runs on every core.
+
+Each scenario runs on one of two cluster cores (``fleet.core_mode``):
+the array-backed vectorized core by default, or the event-queue
+reference core that :func:`apply_core_mode` pins with ``"scalar"``.
+Their summaries are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,29 +42,27 @@ from repro.scenario.build import (
 from repro.scenario.spec import ScenarioSpec
 
 
-#: Core presets ``apply_core_mode`` accepts. ``scalar`` and ``event``
-#: both run the event-queue simulator — ``scalar`` additionally pins the
-#: reference bookkeeping (full per-iteration records, O(queue) load
-#: rescans, per-replica admission pricing) that the faster presets
-#: replace with incremental counters and fleet-batched pricing.
-CORE_CHOICES = ("scalar", "event", "vectorized")
+#: Core presets ``apply_core_mode`` accepts. ``scalar`` runs the
+#: event-queue reference simulator with the reference bookkeeping (full
+#: per-iteration records, O(queue) load rescans, per-replica admission
+#: pricing); ``vectorized`` runs the array-backed core on incremental
+#: counters and streamed aggregates.
+CORE_CHOICES = ("scalar", "vectorized")
 
 _CORE_PRESETS = {
-    "scalar": ("full", "scan", "event", False),
-    "event": ("aggregate", "incremental", "event", True),
-    "vectorized": ("aggregate", "incremental", "vectorized", True),
+    "scalar": ("full", "scan", "event"),
+    "vectorized": ("aggregate", "incremental", "vectorized"),
 }
 
 
 def apply_core_mode(spec: ScenarioSpec, core: str) -> ScenarioSpec:
-    """Pin a scenario to one of the three equivalence-contract cores.
+    """Pin a scenario to one of the two equivalence-contract cores.
 
-    All three produce bit-identical summaries (the equivalence suite
-    pins them); the choice trades introspection detail for speed:
-    ``scalar`` keeps full per-iteration records and reference
-    bookkeeping, ``event`` streams aggregates through the event core's
-    incremental counters, ``vectorized`` adds the fleet arrays and the
-    fleet-version verdict memo on top.
+    Both produce bit-identical summaries (the equivalence suite pins
+    them); the choice trades introspection detail for speed: ``scalar``
+    keeps full per-iteration records and reference bookkeeping,
+    ``vectorized`` streams aggregates through incremental counters, the
+    fleet arrays and the fleet-version verdict memo.
 
     Raises:
         ConfigurationError: When ``core`` is not one of
@@ -70,7 +73,7 @@ def apply_core_mode(spec: ScenarioSpec, core: str) -> ScenarioSpec:
         raise ConfigurationError(
             f"core must be one of {', '.join(CORE_CHOICES)}, got {core!r}"
         )
-    detail, load_accounting, core_mode, batched = preset
+    detail, load_accounting, core_mode = preset
     return dataclasses.replace(
         spec,
         fleet=dataclasses.replace(
@@ -79,7 +82,6 @@ def apply_core_mode(spec: ScenarioSpec, core: str) -> ScenarioSpec:
             load_accounting=load_accounting,
             core_mode=core_mode,
         ),
-        routing=dataclasses.replace(spec.routing, batched=batched),
     )
 
 

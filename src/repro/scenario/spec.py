@@ -37,8 +37,9 @@ from repro.serving.request import DEFAULT_TENANT
 SCENARIO_SCHEMA_VERSION = 1
 
 #: Cluster simulation cores a scenario can select: the event-queue
-#: reference core and the array-backed vectorized core (bit-identical
-#: summaries; see ``FleetSpec.core_mode``).
+#: reference core (``event``, which ``--core scalar`` selects) and the
+#: array-backed vectorized core (bit-identical summaries; see
+#: ``FleetSpec.core_mode``).
 CORE_MODES = ("event", "vectorized")
 
 #: Replica-pool roles a fleet can mix: ``colocated`` replicas own a
@@ -366,8 +367,9 @@ class FleetSpec(SpecBase):
         replicas: Replica groups; ids are assigned in group order, so the
             first group holds replicas ``0..count-1`` and so on.
         step_cache: Share one step-cost cache across the fleet. Applies
-            to the scalar and event cores; the vectorized core's replicas
-            price through their price-group memo and take no cache.
+            to the event-queue reference core only; the vectorized
+            core's replicas price through their price-group memo and
+            take no cache.
         detail: Per-replica metric retention: ``full`` keeps one record
             per decoding iteration (RLP traces, per-iteration debugging);
             ``aggregate`` streams iterations into running totals so
@@ -378,13 +380,14 @@ class FleetSpec(SpecBase):
             O(batch + queue) sums per probe — the pre-optimization
             reference path kept for the equivalence suite and the
             cluster benchmark. Values are bit-identical.
-        core_mode: Which simulation core drives the cluster. ``event``
-            is the event-queue reference core; ``vectorized`` runs the
-            array-backed core (flat event calendar, fleet-wide numpy
-            load arrays, dense price tables) — bit-identical summaries,
-            several times faster at fleet scale. The vectorized core
-            mirrors the incremental load counters, so it rejects
-            ``load_accounting="scan"``.
+        core_mode: Which simulation core drives the cluster.
+            ``vectorized`` (the default) runs the array-backed core
+            (flat event calendar, fleet-wide numpy load arrays, dense
+            price tables); ``event`` is the event-queue reference core,
+            whose routers price one replica at a time — bit-identical
+            summaries, the vectorized core several times faster at fleet
+            scale. The vectorized core mirrors the incremental load
+            counters, so it rejects ``load_accounting="scan"``.
         interconnect: KV-transfer link between the prefill and decode
             pools; required exactly when the fleet is disaggregated
             (some group's ``role`` is ``prefill``/``decode``) and
@@ -398,7 +401,7 @@ class FleetSpec(SpecBase):
     step_cache: bool = True
     detail: str = "full"
     load_accounting: str = "incremental"
-    core_mode: str = "event"
+    core_mode: str = "vectorized"
     interconnect: Optional[InterconnectSpec] = None
     prefix_cache: Optional[PrefixCacheSpec] = None
 
@@ -683,12 +686,10 @@ class RoutingSpec(SpecBase):
     Attributes:
         policy: Registered router name (see ``repro list``); use
             ``slo-slack`` for deadline-aware multi-tenant routing.
-        batched: Fleet-batched admission pricing on the price-aware
-            policies and the SLO admission controller (one vectorized
-            pass over all candidate replicas per arrival). ``False``
-            prices replicas one scalar probe at a time — the
-            pre-optimization reference path; decisions and outputs are
-            bit-identical either way.
+        batched: Ignored; kept so saved scenario files still load. The
+            pricing path follows ``fleet.core_mode``: the vectorized core
+            prices the whole fleet in array passes, the event core one
+            replica at a time, with bit-identical decisions.
     """
 
     policy: str = "intensity"

@@ -129,8 +129,7 @@ class SystemScopedCache:
         Identity (``id``) normally; with ``share_equal_systems``, a
         counter-allocated scope shared by every system with the same
         configuration (:func:`~repro.systems.base.same_configuration`)
-        as its first-seen representative. Fleet-batched pricing also
-        uses this to group replicas whose prices are interchangeable.
+        as its first-seen representative.
         """
         if not self.share_equal_systems:
             return id(system)

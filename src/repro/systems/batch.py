@@ -351,9 +351,10 @@ def price_steps_at(
 
     Identical to :func:`price_steps` except the per-point FC targets are
     supplied by the caller instead of re-planned through
-    ``system.plan_fc_target``. This is what lets fleet-batched admission
-    pricing evaluate many *replicas'* projected steps in one vectorized
-    pass on a single configuration-equal system: each replica resolves
+    ``system.plan_fc_target``. This is what lets a
+    :class:`~repro.cluster.fleetstate.FleetState` price many *replicas'*
+    projected steps in one vectorized pass on a single
+    configuration-equal system: each replica resolves
     its own placement against its own scheduler state, and the pinned
     grid prices every (placement, rlp, tlp, context) point bit-equal to
     that replica pricing it alone.

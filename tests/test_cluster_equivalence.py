@@ -1,13 +1,13 @@
-"""Batched/scalar/vectorized cluster equivalence: the optimization contract.
+"""Scalar/vectorized cluster equivalence: the optimization contract.
 
-The fleet-scale optimizations — fleet-batched admission pricing
-(``routing.batched``), O(1) incremental load accounting
-(``fleet.load_accounting``), streaming metrics (``fleet.detail``), and
-the array-backed vectorized core (``fleet.core_mode``) — all promise
-*bit-identical* cluster outputs. This suite pins that promise across
-the optimization axes and a matrix of workloads: routers x admission
-policies x dense/MoE x speculation depths, plus a seeded fuzz harness
-that samples the cross-product at random. If an optimization ever
+The vectorized core (``fleet.core_mode="vectorized"``: array-backed
+fleet probes, O(1) incremental load accounting, streaming metrics)
+promises *bit-identical* cluster outputs to the scalar reference
+(event-queue core, per-replica reference probes, load rescans, full
+per-iteration records). This suite pins that promise across a matrix of
+workloads: routers x admission policies x dense/MoE x speculation
+depths, plus a seeded fuzz harness that samples the cross-product at
+random. If an optimization ever
 reorders a routing decision, drifts a float, or drops a tenant counter,
 the mismatch surfaces here (and in the ``bench_cluster`` equivalence
 gate) instead of silently skewing a study.
@@ -32,7 +32,7 @@ from repro.scenario.spec import (
     WorkloadSpec,
 )
 from repro.scenario import run as scenario_run
-from repro.scenario.run import run_scenario
+from repro.scenario.run import apply_core_mode, run_scenario
 from repro.systems.papi import PAPISystem
 
 
@@ -46,6 +46,7 @@ def _scenario(
     replicas: int = 3,
     acceptance_rate: float = 0.8,
     disaggregated: bool = False,
+    systems: tuple = ("papi",),
 ) -> ScenarioSpec:
     tenants = [
         TenantSpec(
@@ -80,8 +81,13 @@ def _scenario(
             interconnect=InterconnectSpec(),
         )
     else:
+        # One group of ``replicas`` per system: a mixed fleet when
+        # several systems are named.
         fleet = FleetSpec(
-            replicas=(ReplicaSpec(count=replicas, max_batch_size=8),)
+            replicas=tuple(
+                ReplicaSpec(system=system, count=replicas, max_batch_size=8)
+                for system in systems
+            )
         )
     return ScenarioSpec(
         name="equivalence",
@@ -93,34 +99,14 @@ def _scenario(
     )
 
 
-def _fast(spec: ScenarioSpec) -> ScenarioSpec:
-    """The optimized configuration: batched + incremental + aggregate."""
-    return dataclasses.replace(
-        spec,
-        fleet=dataclasses.replace(
-            spec.fleet, detail="aggregate", load_accounting="incremental"
-        ),
-        routing=dataclasses.replace(spec.routing, batched=True),
-    )
-
-
 def _scalar(spec: ScenarioSpec) -> ScenarioSpec:
-    """The pre-optimization reference: scalar probes + scans + records."""
-    return dataclasses.replace(
-        spec,
-        fleet=dataclasses.replace(
-            spec.fleet, detail="full", load_accounting="scan"
-        ),
-        routing=dataclasses.replace(spec.routing, batched=False),
-    )
+    """The reference: event-queue core, scalar probes, scans, records."""
+    return apply_core_mode(spec, "scalar")
 
 
 def _vectorized(spec: ScenarioSpec) -> ScenarioSpec:
-    """The array-backed core on top of the optimized configuration."""
-    fast = _fast(spec)
-    return dataclasses.replace(
-        fast, fleet=dataclasses.replace(fast.fleet, core_mode="vectorized")
-    )
+    """The array-backed core: fleet probes, counters, aggregates."""
+    return apply_core_mode(spec, "vectorized")
 
 
 def aggregate_fields(result) -> dict:
@@ -206,10 +192,15 @@ CASES = [
           disaggregated=True),
     _case("min-cost", "admit", False, 1, 1, "disagg-steady-mean",
           context_mode="mean", disaggregated=True),
+    # Replicas without a load signal (A100+AttAcc places FC statically):
+    # intensity ranks them through the reference step probe, on the
+    # vectorized core's replicas too.
+    _case("intensity", "admit", False, 2, 1, "intensity-papi-attacc",
+          replicas=2, systems=("papi", "a100-attacc")),
 ]
 
 
-class TestBatchedScalarEquivalence:
+class TestCoreEquivalence:
     @pytest.mark.parametrize(
         "policy,admission,moe,spec_len,chunks,workload", CASES
     )
@@ -221,10 +212,8 @@ class TestBatchedScalarEquivalence:
             policy, admission=admission, moe=moe, speculation_length=spec_len,
             **workload,
         )
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
-        assert fast == scalar
         assert vectorized == scalar
         pipelined = any(
             "overlap" in replica["time_breakdown"]
@@ -234,15 +223,13 @@ class TestBatchedScalarEquivalence:
 
     def test_mean_context_mode_equivalent(self):
         spec = _scenario("slo-slack", admission="defer", context_mode="mean")
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
-        assert fast == scalar
         assert vectorized == scalar
 
     def test_mixed_fleet_groups_split_by_workload(self):
         """A mixed MoE + dense fleet on identical hardware must not let
-        fleet-batched pricing collapse different workloads into one grid."""
+        fleet price groups collapse different workloads into one table."""
         base = _scenario("min-cost")
         moe_group = ReplicaSpec(
             count=2,
@@ -258,10 +245,8 @@ class TestBatchedScalarEquivalence:
                 base.fleet, replicas=(moe_group, dense_group)
             ),
         )
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
-        assert fast == scalar
         assert vectorized == scalar
 
     def test_aggregate_detail_drops_records_only(self):
@@ -294,7 +279,12 @@ class TestBatchedScalarEquivalence:
         from repro.cluster.cluster import ClusterSimulator
         from repro.serving.clock import EventKind
 
+        # Scalar-core replicas: the scan below reads Request.generated,
+        # which vectorized replicas keep in their decode-slot ledger.
         spec = _scenario("min-cost", requests=32, replicas=2)
+        spec = dataclasses.replace(
+            spec, fleet=dataclasses.replace(spec.fleet, core_mode="event")
+        )
         replicas = build_replicas(spec)
         probed = []
 
@@ -329,13 +319,57 @@ class TestBatchedScalarEquivalence:
         simulator.run(build_requests(spec))
         assert probed, "router probes exercised the counters"
 
+    @pytest.mark.parametrize(
+        "policy,context_mode",
+        [("min-cost", "per-request"), ("slo-slack", "mean")],
+    )
+    def test_reference_probes_match_fleet_lanes(self, policy, context_mode):
+        """Mid-run on the vectorized core, the reference probes on each
+        replica price exactly the FleetState lane for that replica."""
+        from repro.cluster.router import (
+            projected_completion_seconds,
+            projected_step_seconds,
+        )
+        from repro.cluster.cluster import VectorizedClusterSimulator
+        from repro.scenario.build import (
+            build_replicas,
+            build_requests,
+            build_routing,
+        )
+
+        spec = _vectorized(
+            _scenario(policy, requests=48, context_mode=context_mode)
+        )
+        simulator = VectorizedClusterSimulator(
+            build_replicas(spec), build_routing(spec)
+        )
+        original_select = simulator.router.select
+        lanes = []
+
+        def checking_select(request, fleet, now):
+            steps = fleet.fleet_step_seconds(request)
+            completions = fleet.fleet_completion_seconds(request)
+            assert steps == [
+                projected_step_seconds(replica, request) for replica in fleet
+            ]
+            assert completions == [
+                projected_completion_seconds(replica, request)
+                for replica in fleet
+            ]
+            lanes.extend(steps)
+            return original_select(request, fleet, now)
+
+        simulator.router.select = checking_select
+        simulator.run(build_requests(spec))
+        assert len(lanes) == 96 * len(simulator.replicas)
+
 
 class TestBucketedContextEquivalence:
     """Bucketed per-request contexts: the vectorized core's group memo
     keys by the pricer's context key, not the O(1) active-context sum."""
 
     @pytest.mark.parametrize("chunks", [1, 2], ids=["serial", "chunks2"])
-    def test_three_cores_agree(self, monkeypatch, chunks):
+    def test_cores_agree(self, monkeypatch, chunks):
         monkeypatch.setattr(PAPISystem, "pipeline_chunks", chunks)
         build_replicas = scenario_run.build_replicas
 
@@ -348,7 +382,6 @@ class TestBucketedContextEquivalence:
         monkeypatch.setattr(scenario_run, "build_replicas", bucketed)
         spec = _scenario("min-cost")
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
-        assert aggregate_fields(run_scenario(_fast(spec))) == scalar
         assert aggregate_fields(run_scenario(_vectorized(spec))) == scalar
 
 
@@ -365,13 +398,13 @@ class TestVectorizedCoreFuzz:
     Each case draws a router, admission policy, dense/MoE workload,
     speculation depth, context mode, TLP policy, detail mode, trace
     seed, and fleet shape from a deterministic RNG, then demands the
-    vectorized, batched, and scalar cores agree bit-for-bit. The cases
+    vectorized and scalar cores agree bit-for-bit. The cases
     are reproducible (fixed base seed per case index) so a failure here
     is a regression, never flakiness.
     """
 
     @pytest.mark.parametrize("case_seed", range(6))
-    def test_three_cores_agree(self, case_seed):
+    def test_cores_agree(self, case_seed):
         rng = random.Random(9000 + case_seed)
         spec = _scenario(
             rng.choice(FUZZ_ROUTERS),
@@ -397,13 +430,15 @@ class TestVectorizedCoreFuzz:
                 fleet=dataclasses.replace(vec_spec.fleet, detail="full"),
             )
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         vectorized = aggregate_fields(run_scenario(vec_spec))
-        assert fast == scalar
         assert vectorized == scalar
 
 
 class TestCoreModeSpec:
+    def test_vectorized_is_the_default_core(self):
+        assert FleetSpec().core_mode == "vectorized"
+        assert scenario_run.CORE_CHOICES == ("scalar", "vectorized")
+
     def test_unknown_core_mode_rejected(self):
         spec = _scenario("min-cost")
         spec = dataclasses.replace(
@@ -512,19 +547,11 @@ class TestShardedScenarios:
             for name, report in part.summary.tenants.items():
                 assert merged.summary.tenants[name] == report
 
-    def test_sharded_vectorized_matches_sharded_event_core(self):
+    def test_sharded_vectorized_matches_sharded_scalar_core(self):
         spec = _many_tenant_spec(tenants=4, requests=8)
-        vec_spec = dataclasses.replace(
-            spec,
-            fleet=dataclasses.replace(
-                spec.fleet,
-                core_mode="vectorized",
-                load_accounting="incremental",
-            ),
-        )
-        event = run_scenario(spec, shards=2)
-        vectorized = run_scenario(vec_spec, shards=2)
-        assert aggregate_fields(vectorized) == aggregate_fields(event)
+        scalar = run_scenario(_scalar(spec), shards=2)
+        vectorized = run_scenario(_vectorized(spec), shards=2)
+        assert aggregate_fields(vectorized) == aggregate_fields(scalar)
 
     def test_more_shards_than_tenants_drops_empty_shards(self):
         from repro.scenario.run import _shard_specs

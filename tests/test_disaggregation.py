@@ -3,8 +3,8 @@
 A disaggregated fleet routes every request through a two-stage path —
 prefill pool, KV transfer over the fleet interconnect, decode pool —
 and promises the same bit-identical-cores contract as colocated fleets:
-the scalar reference core, the optimized event core, and the
-array-backed vectorized core must agree digit for digit on every
+the scalar reference core and the array-backed vectorized core must
+agree digit for digit on every
 summary a study reads. This suite pins that promise across routers x
 admission policies x pool shapes (including asymmetric splits), plus a
 seeded fuzz harness; it also pins the spec-validation surface (role
@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.scenario.run import (
     _merge_pool_reports,
     _merge_sample_stats,
+    apply_core_mode,
     run_scenario,
 )
 from repro.scenario.spec import (
@@ -81,25 +82,6 @@ def _scenario(
         fleet=_pools(prefill, decode),
         tenants=tuple(tenants),
         routing=RoutingSpec(policy=policy),
-    )
-
-
-def _with_core(spec: ScenarioSpec, core: str) -> ScenarioSpec:
-    if core == "scalar":
-        return dataclasses.replace(
-            spec,
-            fleet=dataclasses.replace(
-                spec.fleet, detail="full", load_accounting="scan"
-            ),
-            routing=dataclasses.replace(spec.routing, batched=False),
-        )
-    fleet = dataclasses.replace(
-        spec.fleet, detail="aggregate", load_accounting="incremental"
-    )
-    if core == "vectorized":
-        fleet = dataclasses.replace(fleet, core_mode="vectorized")
-    return dataclasses.replace(
-        spec, fleet=fleet, routing=dataclasses.replace(spec.routing, batched=True)
     )
 
 
@@ -238,43 +220,31 @@ CASES = [
     pytest.param("slo-slack", "defer", 2, 2, id="slo-slack-defer"),
     pytest.param("slo-slack", "reject", 1, 2, id="slo-slack-reject-1x2"),
     pytest.param("least-outstanding", "reject", 2, 1, id="least-reject-2x1"),
+    pytest.param("round-robin", "admit", 2, 3, id="round-robin-2x3"),
+    pytest.param("min-cost", "admit", 2, 3, id="min-cost-2x3"),
+    pytest.param("slo-slack", "defer", 2, 3, id="slo-slack-defer-2x3"),
+    pytest.param("least-outstanding", "reject", 2, 3, id="least-reject-2x3"),
 ]
+
+
+def _core_fields(spec: ScenarioSpec, core: str) -> dict:
+    return comparable_fields(run_scenario(apply_core_mode(spec, core)))
 
 
 class TestCoreEquivalence:
     @pytest.mark.parametrize("policy,admission,prefill,decode", CASES)
-    def test_scalar_event_bit_identical(
+    def test_scalar_vectorized_bit_identical(
         self, policy, admission, prefill, decode
     ):
         spec = _scenario(
             policy, admission=admission, prefill=prefill, decode=decode
         )
-        scalar = comparable_fields(run_scenario(_with_core(spec, "scalar")))
-        event = comparable_fields(run_scenario(_with_core(spec, "event")))
-        assert event == scalar
-
-    @pytest.mark.parametrize(
-        "policy,admission",
-        [
-            ("round-robin", "admit"),
-            ("min-cost", "admit"),
-            ("slo-slack", "defer"),
-            ("least-outstanding", "reject"),
-        ],
-    )
-    def test_vectorized_three_way_bit_identical(self, policy, admission):
-        spec = _scenario(policy, admission=admission, prefill=2, decode=3)
-        scalar = comparable_fields(run_scenario(_with_core(spec, "scalar")))
-        event = comparable_fields(run_scenario(_with_core(spec, "event")))
-        vectorized = comparable_fields(
-            run_scenario(_with_core(spec, "vectorized"))
-        )
-        assert event == scalar
-        assert vectorized == scalar
+        scalar = _core_fields(spec, "scalar")
+        assert _core_fields(spec, "vectorized") == scalar
 
     def test_seeded_fuzz_matrix(self):
-        """Random corners of the config cross-product agree across all
-        three cores — the same harness shape as the colocated fuzz."""
+        """Random corners of the config cross-product agree across both
+        cores — the same harness shape as the colocated fuzz."""
         rng = random.Random(20250807)
         for _ in range(4):
             spec = _scenario(
@@ -287,15 +257,8 @@ class TestCoreEquivalence:
                 requests=rng.randint(16, 48),
                 seed=rng.randint(0, 999),
             )
-            scalar = comparable_fields(
-                run_scenario(_with_core(spec, "scalar"))
-            )
-            event = comparable_fields(run_scenario(_with_core(spec, "event")))
-            vectorized = comparable_fields(
-                run_scenario(_with_core(spec, "vectorized"))
-            )
-            assert event == scalar, spec.name
-            assert vectorized == scalar, spec.name
+            scalar = _core_fields(spec, "scalar")
+            assert _core_fields(spec, "vectorized") == scalar, spec.name
 
 
 class TestReporting:

@@ -7,7 +7,7 @@ version is safely reusable while that version holds still. This suite
 pins the invariant directly (version bumps, memo hits/misses across
 invalidation, batch-row bit-identity) and end to end: a deferral-storm
 scenario — offered load far above capacity, bounded defer/retry — run
-through all three cores with bit-identical outputs, a floor on the
+through both cores with bit-identical outputs, a floor on the
 memo hit rate, and live coalescing counters.
 """
 
@@ -100,14 +100,13 @@ def _comparable(result) -> dict:
 
 
 class TestDeferralStormEquivalence:
-    def test_three_cores_bit_identical_under_storm(self):
+    def test_cores_bit_identical_under_storm(self):
         spec = _storm_scenario()
         results = {
             core: run_scenario(apply_core_mode(spec, core))
             for core in CORE_CHOICES
         }
         scalar = _comparable(results["scalar"])
-        assert _comparable(results["event"]) == scalar
         assert _comparable(results["vectorized"]) == scalar
         # The storm must actually have stormed (deferrals happened).
         interactive = results["scalar"].summary.tenants["interactive"]
@@ -221,20 +220,19 @@ class TestApplyCoreMode:
         assert scalar.fleet.detail == "full"
         assert scalar.fleet.load_accounting == "scan"
         assert scalar.fleet.core_mode == "event"
-        assert scalar.routing.batched is False
-        event = apply_core_mode(spec, "event")
-        assert event.fleet.detail == "aggregate"
-        assert event.fleet.load_accounting == "incremental"
-        assert event.fleet.core_mode == "event"
-        assert event.routing.batched is True
         vectorized = apply_core_mode(spec, "vectorized")
-        assert vectorized.fleet.core_mode == "vectorized"
+        assert vectorized.fleet.detail == "aggregate"
         assert vectorized.fleet.load_accounting == "incremental"
-        assert vectorized.routing.batched is True
+        assert vectorized.fleet.core_mode == "vectorized"
+        # The routing spec is left alone: its ``batched`` field is a
+        # schema leftover no core reads.
+        assert scalar.routing == vectorized.routing == spec.routing
 
-    def test_rejects_unknown_core(self):
+    # ``event`` names the deleted fleet-batched preset.
+    @pytest.mark.parametrize("core", ["warp", "event"])
+    def test_rejects_unknown_core(self, core):
         with pytest.raises(ConfigurationError, match="core must be one of"):
-            apply_core_mode(_storm_scenario(), "warp")
+            apply_core_mode(_storm_scenario(), core)
 
 
 class TestPriceTableGrowth:

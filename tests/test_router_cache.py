@@ -92,46 +92,6 @@ def _make_replicas(n=2, max_batch=4):
     ]
 
 
-class TestFleetProbeIdentityScopes:
-    """The fleet-batched probe against a cache scoped by identity (not
-    shared across equal systems) — e.g. a hand-built ``PriceCache()``
-    behind a batched admission controller."""
-
-    @pytest.mark.parametrize("chunks", [1, 2])
-    def test_repeat_probe_hits(self, chunks):
-        from repro.cluster.router import (
-            projected_step_seconds,
-            projected_step_seconds_fleet,
-        )
-
-        replicas = _make_replicas(n=3)
-        for replica in replicas:
-            replica.system.pipeline_chunks = chunks
-        request = Request(request_id=0, input_len=96, output_len=8)
-        cache = PriceCache()
-        first = projected_step_seconds_fleet(replicas, request, cache)
-        assert (cache.hits, cache.misses) == (0, 3)
-        second = projected_step_seconds_fleet(replicas, request, cache)
-        assert second == first
-        assert (cache.hits, cache.misses) == (3, 3)
-        assert first == [
-            projected_step_seconds(replica, request) for replica in replicas
-        ]
-
-    def test_reassigned_depth_misses(self):
-        """An identity scope is split by pipeline depth: after
-        ``pipeline_chunks`` changes the probe re-prices."""
-        from repro.cluster.router import projected_step_seconds_fleet
-
-        replicas = _make_replicas(n=1)
-        request = Request(request_id=0, input_len=96, output_len=8)
-        cache = PriceCache()
-        projected_step_seconds_fleet(replicas, request, cache)
-        replicas[0].system.pipeline_chunks = 2
-        projected_step_seconds_fleet(replicas, request, cache)
-        assert (cache.hits, cache.misses) == (0, 2)
-
-
 class TestRouterCacheBehavior:
     def test_min_cost_select_keeps_cache_bounded(self):
         """A stream of arrivals with ever-changing context buckets —

@@ -446,20 +446,22 @@ class TestFleetScaleSpecFields:
             spec.validate()
 
     def test_admission_probe_memo_reused_by_router(self):
-        """Within one arrival, the slo-slack router reuses the admission
-        controller's fleet probe instead of re-pricing the fleet."""
+        """Within one arrival, the slo-slack router answers from the
+        admission controller's fleet probe (the FleetState verdict memo)
+        instead of re-pricing the fleet."""
         from repro.cluster.admission import (
             AdmissionDecision,
             SLOAdmissionController,
             TenantPolicy,
         )
+        from repro.cluster.fleetstate import FleetState
         from repro.scenario import build_replicas
         from repro.serving.request import Request
 
         spec = ScenarioSpec(
             fleet=FleetSpec(replicas=(ReplicaSpec(count=3),)),
         )
-        replicas = build_replicas(spec)
+        fleet = FleetState(build_replicas(spec))
         router = build_router("slo-slack")
         controller = SLOAdmissionController(
             {"default": TenantPolicy(action="reject")},
@@ -468,12 +470,13 @@ class TestFleetScaleSpecFields:
         request = Request(
             request_id=0, input_len=64, output_len=32, deadline_s=500.0
         )
-        decision, _ = controller.decide(request, replicas, 0.0)
+        decision, _ = controller.decide(request, fleet, 0.0)
         assert decision is AdmissionDecision.ADMIT
-        lookups_after_decide = router.price_cache.lookups
-        index = router.select(request, replicas, 0.0)
-        assert 0 <= index < len(replicas)
-        assert router.price_cache.lookups == lookups_after_decide
+        misses = fleet.probe_misses
+        index = router.select(request, fleet, 0.0)
+        assert 0 <= index < len(fleet)
+        assert fleet.probe_misses == misses
+        assert fleet.probe_hits == 1
 
 
 class TestLoadScenario:
